@@ -14,6 +14,12 @@ import (
 func runWireRound(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
 	dropAt map[uint64]WireStage) ([]field.Element, error) {
 	t.Helper()
+	return runWireRoundDeadline(t, cfg, inputs, dropAt, 800*time.Millisecond)
+}
+
+func runWireRoundDeadline(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
+	dropAt map[uint64]WireStage, deadline time.Duration) ([]field.Element, error) {
+	t.Helper()
 	net := transport.NewMemoryNetwork(256)
 	conns := make(map[uint64]transport.ClientConn, len(cfg.ClientIDs))
 	for _, id := range cfg.ClientIDs {
@@ -45,7 +51,7 @@ func runWireRound(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
 		}()
 	}
 	sum, err := RunWireServer(ctx,
-		WireServerConfig{Config: cfg, StageDeadline: 800 * time.Millisecond}, net.Server())
+		WireServerConfig{Config: cfg, StageDeadline: deadline}, net.Server())
 	if err != nil {
 		cancel() // unblock clients waiting on a round that died
 	}
