@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -15,8 +16,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport,
-// with the server collecting each stage's responses until either every
+// Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport.
+// The stage sequence is secagg's own (Server.RunStages, Client.RunStages);
+// this file is the wire carrier that moves its messages as codec frames,
+// plus the wire-only steps around it: the result broadcast, the
+// transcript, and the session taint. The server collects each stage's responses until either every
 // live client answered or the stage deadline fires — the deadline-based
 // collection of the paper's §2.1 ("collects the updates from participants
 // until a certain deadline").
@@ -87,12 +91,6 @@ type WireServerConfig struct {
 	// builds a round-scoped engine (single-round callers).
 	Engine *engine.Engine
 
-	// NoUnmaskQuorum disables the stage-4 unmask quorum and restores the
-	// historical wait-all-survivors-until-deadline collection. It exists as
-	// the reference path for the straggler-tail benchmarks; deployments
-	// have no reason to set it.
-	NoUnmaskQuorum bool
-
 	// Transcript, when non-nil, turns on the verifiable-transcript layer
 	// (internal/transcript): masked-input digests are captured during the
 	// round (SecAgg.TranscriptDigests is forced on), and after the result
@@ -113,19 +111,79 @@ func broadcast(conn transport.ServerConn, ids []uint64, stage int, payload []byt
 	}
 }
 
-// gobDecode adapts a gob control-message decode to an engine stage.
-func gobDecode[T any](m engine.Msg) (any, error) {
+// gobDecode decodes a gob control message into a T.
+func gobDecode[T any](p []byte) (any, error) {
 	var v T
-	if err := decodePayload(m.Body.([]byte), &v); err != nil {
+	if err := decodePayload(p, &v); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// wireStages binds each protocol stage to its frame tags and codecs. The
+// volume payloads — share bundles, masked inputs, unmask shares — ride
+// the binary codec, the control messages gob.
+var wireStages = []engine.WireStage{
+	secagg.StageAdvertiseKeys: {Up: wireAdvertise,
+		EncodeUp: encodePayload, DecodeUp: gobDecode[secagg.AdvertiseMsg]},
+	secagg.StageShareKeys: {Up: wireShares, Down: wireRoster,
+		EncodeUp: engine.Encoder(encodeShareMsgs), DecodeUp: engine.Decoder(decodeShareMsgs),
+		EncodeDown: encodePayload, DecodeDown: gobDecode[[]secagg.AdvertiseMsg]},
+	secagg.StageMaskedInput: {Up: wireMasked, Down: wireDeliver,
+		EncodeUp: engine.Encoder(encodeMaskedInput), DecodeUp: engine.Decoder(decodeMaskedInput),
+		EncodeDown: engine.Encoder(encodeShareMsgs), DecodeDown: engine.Decoder(decodeShareMsgs)},
+	secagg.StageConsistencyCheck: {Up: wireConsistency, Down: wireConsistencyReq,
+		EncodeUp: encodePayload, DecodeUp: gobDecode[secagg.ConsistencyMsg],
+		EncodeDown: encodePayload, DecodeDown: gobDecode[[]uint64]},
+	secagg.StageUnmasking: {Up: wireUnmask, Down: wireUnmaskReq,
+		EncodeUp: engine.Encoder(encodeUnmask), DecodeUp: engine.Decoder(decodeUnmask),
+		EncodeDown: encodePayload, DecodeDown: gobDecode[secagg.UnmaskRequest]},
+	secagg.StageNoiseRemoval: {Up: wireNoise, Down: wireNoiseReq,
+		EncodeUp: encodePayload, DecodeUp: gobDecode[secagg.NoiseShareMsg],
+		EncodeDown: encodePayload, DecodeDown: gobDecode[secagg.NoiseShareRequest]},
+}
+
+// wireServer adds SecAgg's wire rules to the wire carrier: a full resume
+// sends no roster (every client reads it from its own session), stage 4
+// may seal at the unmask quorum, and the sealed roster is kept for the
+// transcript.
+type wireServer struct {
+	*engine.WireServer
+	fullResume      bool
+	unmaskQuorum    int
+	unmaskQuorumMet func() bool
+	roster          []secagg.AdvertiseMsg
+}
+
+func (w *wireServer) Collect(s engine.Stage) error {
+	if s.Tag == int(secagg.StageUnmasking) {
+		s.Quorum, s.QuorumMet = w.unmaskQuorum, w.unmaskQuorumMet
+	}
+	return w.WireServer.Collect(s)
+}
+
+func (w *wireServer) Send(stage int, to []uint64, body any) error {
+	if stage == int(secagg.StageShareKeys) {
+		w.roster = body.([]secagg.AdvertiseMsg)
+		if w.fullResume {
+			return nil
+		}
+	}
+	return w.WireServer.Send(stage, to, body)
 }
 
 // RunWireServer drives the server side of one round through the shared
 // round engine and returns the aggregation result. ctx bounds the whole
 // round; cfg.StageDeadline bounds each stage's collection.
 func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) (*secagg.Result, error) {
+	return runWireServer(ctx, cfg, conn, true)
+}
+
+// runWireServer is RunWireServer with the stage-4 unmask quorum
+// switchable. Without it, stage 4 waits for every survivor until the
+// deadline, the collection the in-process driver runs — the all-of-N
+// reference of the straggler-tail benchmark.
+func runWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn, unmaskQuorum bool) (*secagg.Result, error) {
 	if cfg.StageDeadline <= 0 {
 		cfg.StageDeadline = 2 * time.Second
 	}
@@ -139,206 +197,23 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	if err != nil {
 		return nil, err
 	}
-	ids := cfg.SecAgg.ClientIDs
-
 	roundCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	eng := cfg.Engine
-	if eng == nil {
-		eng = engine.New(engine.TransportSource(roundCtx, conn))
+	w := &wireServer{
+		WireServer: engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages),
+		fullResume: cfg.Resume && len(cfg.Divergent) == 0,
 	}
-	collect := func(name string, tag int, expect []uint64, quorum int,
-		decode func(m engine.Msg) (any, error), apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(roundCtx, engine.Stage{
-			Name: name, Tag: tag, Expect: expect, Quorum: quorum, Deadline: cfg.StageDeadline,
-			Decode: decode, Apply: apply,
-		})
-		return err
-	}
-
-	// Stage 0: AdvertiseKeys — collected over the wire, skipped entirely on
-	// a full resume (the clients skip symmetrically and reuse their own
-	// cached rosters), or collected from just the divergent subset on a
-	// partial resume: the session's cached entries pre-seed the stage, the
-	// divergent members' fresh advertisements merge in, and the sealed
-	// (merged) roster is broadcast to everyone so the non-divergent members
-	// learn the fresh keys their invalidated edges re-agree against.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	var roster []secagg.AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		roster = cfg.Session.RosterFor(ids)
-		if roster == nil {
-			return nil, fmt.Errorf("core: resume without a cached roster for this client set")
-		}
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	case partial:
-		cached := cfg.Session.RosterFor(ids)
-		if cached == nil {
-			return nil, fmt.Errorf("core: partial resume without a cached roster for this client set")
-		}
-		for _, m := range cached {
-			if err := server.AddAdvertise(m); err != nil {
-				return nil, err
-			}
-		}
-		err = collect("advertise", wireAdvertise, cfg.Divergent, 0, gobDecode[secagg.AdvertiseMsg],
-			func(_ uint64, body any) error {
-				return server.AddAdvertise(body.(secagg.AdvertiseMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-	default:
-		err = collect("advertise", wireAdvertise, ids, 0, gobDecode[secagg.AdvertiseMsg],
-			func(_ uint64, body any) error {
-				return server.AddAdvertise(body.(secagg.AdvertiseMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster, ids)
+	// Two quorums can cut the unmask stage before all-of-N: the count
+	// quorum (complete graph: the first t responses are t shares per
+	// cohort) and the per-cohort predicate (SecAgg+ sparse graphs). XNoise
+	// rounds keep the all-of-N deadline semantics.
+	if unmaskQuorum {
+		w.unmaskQuorum = cfg.SecAgg.UnmaskQuorum()
+		if cfg.SecAgg.XNoise == nil {
+			w.unmaskQuorumMet = server.UnmaskQuorumMet
 		}
 	}
-	u1 := make([]uint64, 0, len(roster))
-	for _, m := range roster {
-		u1 = append(u1, m.From)
-	}
-	if !cfg.Resume || partial {
-		rosterPayload, err := encodePayload(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, u1, wireRoster, rosterPayload)
-	}
-
-	// Stage 1: ShareKeys. The n² encrypted share bundles ride the binary
-	// codec; each sender's list routes into recipient outboxes on arrival.
-	err = collect("shares", wireShares, u1, 0,
-		func(m engine.Msg) (any, error) { return decodeShareMsgs(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			return server.AddShare(from, body.([]secagg.EncryptedShareMsg))
-		})
-	if err != nil {
-		return nil, err
-	}
-	deliveries, err := server.SealShares()
-	if err != nil {
-		return nil, err
-	}
-	u2 := make([]uint64, 0, len(deliveries))
-	for id, cts := range deliveries {
-		payload, err := encodeShareMsgs(cts)
-		if err != nil {
-			return nil, err
-		}
-		_ = conn.SendTo(id, transport.Frame{Stage: wireDeliver, Payload: payload})
-		u2 = append(u2, id)
-	}
-
-	// Stage 2: MaskedInputCollection. The dim-length masked inputs ride
-	// the binary codec and fold into the server's partial aggregate as
-	// they decode — the round's dominant payload never waits for a stage
-	// barrier.
-	err = collect("masked", wireMasked, u2, 0,
-		func(m engine.Msg) (any, error) { return decodeMaskedInput(m.Body.([]byte)) },
-		func(_ uint64, body any) error {
-			return server.AddMasked(body.(secagg.MaskedInputMsg))
-		})
-	if err != nil {
-		return nil, err
-	}
-	u3, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	u3Payload, err := encodePayload(u3)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, u3, wireConsistencyReq, u3Payload)
-
-	// Stage 3: ConsistencyCheck.
-	err = collect("consistency", wireConsistency, u3, 0, gobDecode[secagg.ConsistencyMsg],
-		func(_ uint64, body any) error {
-			return server.AddConsistency(body.(secagg.ConsistencyMsg))
-		})
-	if err != nil {
-		return nil, err
-	}
-	unmaskReq, err := server.SealConsistency()
-	if err != nil {
-		return nil, err
-	}
-	reqPayload, err := encodePayload(unmaskReq)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, unmaskReq.U4, wireUnmaskReq, reqPayload)
-
-	// Stage 4: Unmasking. The per-survivor share maps ride the binary
-	// codec (the last high-volume payload to leave gob); bundles index into
-	// reconstruction cohorts on arrival. Two quorums can cut the stage
-	// before all-of-N: the count quorum (complete graph: the first t
-	// responses are t shares per cohort) and the per-cohort predicate
-	// (SecAgg+ sparse graphs: seal the moment every reconstruction cohort
-	// holds its t shares, instead of waiting the deadline for stragglers).
-	// XNoise rounds keep the all-of-N deadline semantics — see
-	// secagg.Config.UnmaskQuorum for why.
-	unmaskQuorum := cfg.SecAgg.UnmaskQuorum()
-	var unmaskQuorumMet func() bool
-	if cfg.SecAgg.XNoise == nil {
-		unmaskQuorumMet = server.UnmaskQuorumMet
-	}
-	if cfg.NoUnmaskQuorum {
-		unmaskQuorum, unmaskQuorumMet = 0, nil
-	}
-	_, err = eng.Collect(roundCtx, engine.Stage{
-		Name: "unmask", Tag: wireUnmask, Expect: unmaskReq.U4,
-		Quorum: unmaskQuorum, QuorumMet: unmaskQuorumMet, Deadline: cfg.StageDeadline,
-		Decode: func(m engine.Msg) (any, error) { return decodeUnmask(m.Body.([]byte)) },
-		Apply: func(_ uint64, body any) error {
-			return server.AddUnmask(body.(secagg.UnmaskMsg))
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	noiseReq, err := server.SealUnmask()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 5: ExcessiveNoiseRemoval, when needed.
-	if noiseReq != nil {
-		nrPayload, err := encodePayload(*noiseReq)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, noiseReq.U5, wireNoiseReq, nrPayload)
-		err = collect("noise-shares", wireNoise, noiseReq.U5, 0, gobDecode[secagg.NoiseShareMsg],
-			func(_ uint64, body any) error {
-				return server.AddNoiseShare(body.(secagg.NoiseShareMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if err := server.SealNoiseShares(); err != nil {
-			return nil, err
-		}
-	}
-
-	res, err := server.Finalize()
+	res, err := server.RunStages(w, cfg.Resume, cfg.Divergent)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +223,7 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	}
 	broadcast(conn, res.Survivors, wireResult, resPayload)
 	if cfg.Transcript != nil {
-		if err := emitTranscript(cfg.Transcript, cfg.SecAgg.Round, roster, server, &res, conn); err != nil {
+		if err := emitTranscript(cfg.Transcript, cfg.SecAgg.Round, w.roster, server, &res, conn); err != nil {
 			return nil, fmt.Errorf("core: round transcript: %w", err)
 		}
 	}
@@ -439,13 +314,41 @@ type WireClientConfig struct {
 	TranscriptDeadline time.Duration
 }
 
+// wireClient adds session rosters to the wire carrier: on a full resume
+// the roster comes from the client's session, otherwise the one received
+// is stored in it. The roster is kept for the transcript audit.
+type wireClient struct {
+	*engine.WireClient
+	session    *secagg.Session
+	fullResume bool
+	roster     []secagg.AdvertiseMsg
+}
+
+func (w *wireClient) Recv(stage int) (any, error) {
+	if stage != int(secagg.StageShareKeys) {
+		return w.WireClient.Recv(stage)
+	}
+	if w.fullResume {
+		if w.roster = w.session.Roster(); w.roster == nil {
+			return nil, fmt.Errorf("core: resume without a cached roster")
+		}
+		return w.roster, nil
+	}
+	body, err := w.WireClient.Recv(stage)
+	if err != nil {
+		return nil, err
+	}
+	w.roster = body.([]secagg.AdvertiseMsg)
+	if w.session != nil {
+		w.session.StoreRoster(w.roster)
+	}
+	return body, nil
+}
+
 // RunWireClient drives the client side of one round. It returns the
 // decoded round result frame (nil for clients that dropped or when the
 // protocol ended before dispatch).
 func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.ClientConn) (*secagg.Result, error) {
-	drop := func(s secagg.Stage) bool {
-		return cfg.DropBefore >= 0 && s >= cfg.DropBefore
-	}
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("core: resume requires a client session")
 	}
@@ -456,226 +359,59 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if err != nil {
 		return nil, err
 	}
-	if drop(secagg.StageAdvertiseKeys) {
+
+	// A re-keyed client advertises; a resumed one skips advertise and
+	// takes its cached roster (full resume) or the merged roster broadcast
+	// (partial resume). A divergent member of a partial resume advertises
+	// its fresh keys like a re-keyed one. ShareKeys verifies this client's
+	// own entry in whatever roster it ends up with, so a merge that lost or
+	// replaced it fails loudly rather than desynchronize the round.
+	w := &wireClient{WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
+		session: cfg.Session, fullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	advertise := !cfg.Resume || slices.Contains(cfg.Divergent, cfg.ID)
+	dropped, err := client.RunStages(w, advertise, cfg.DropBefore)
+	if err != nil {
+		return nil, err
+	}
+	if dropped {
 		return nil, conn.Close()
 	}
-
-	// recvFrame blocks for the next frame with the given stage tag,
-	// discarding anything else (stale broadcasts, replays).
-	recvFrame := func(stage int) ([]byte, error) {
-		for {
-			f, err := conn.Recv(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if f.Stage == stage {
-				return f.Payload, nil
-			}
-		}
+	payload, err := w.RecvResult()
+	if err != nil {
+		return nil, err
 	}
-	recv := func(stage int, v any) error {
-		p, err := recvFrame(stage)
-		if err != nil {
-			return err
-		}
-		return decodePayload(p, v)
+	res, err := decodeResult(payload)
+	if err != nil {
+		return nil, err
 	}
-
-	// Stage 0: AdvertiseKeys, the session-resumed skip (install the
-	// session's keys locally and reuse the roster cached when a previous
-	// round on this session sealed it), or the partial-resume variants: a
-	// divergent client advertises its fresh keys like a re-keyed one, a
-	// non-divergent one skips advertise but takes the merged roster
-	// broadcast instead of its cached copy. ShareKeys verifies this
-	// client's own entry in whatever roster it ends up with, so a merge
-	// that lost or replaced it fails loudly here rather than desynchronize
-	// the round.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	selfDivergent := false
-	for _, id := range cfg.Divergent {
-		if id == cfg.ID {
-			selfDivergent = true
+	// The transcript frames follow the result on the same ordered
+	// connection; a failed audit fails the round before the taint is
+	// cleared — a round whose aggregate the client cannot verify is not a
+	// clean completion. The wait is bounded: an aggregator that never
+	// sends the frames (transcripts off, or this shard's partial missed
+	// the fold) fails the audit instead of hanging the client.
+	if cfg.Transcript != nil {
+		td := cfg.TranscriptDeadline
+		if td <= 0 {
+			td = 10 * time.Second
 		}
-	}
-	var payload []byte
-	var roster []secagg.AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		if roster = cfg.Session.Roster(); roster == nil {
-			return nil, fmt.Errorf("core: resume without a cached roster at client %d", cfg.ID)
-		}
-		if err := client.SkipAdvertise(); err != nil {
-			return nil, err
-		}
-	case partial && !selfDivergent:
-		if err := client.SkipAdvertise(); err != nil {
-			return nil, err
-		}
-		if err := recv(wireRoster, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	default:
-		adv, err := client.AdvertiseKeys()
+		tctx, tcancel := context.WithTimeout(ctx, td)
+		err := verifyClientTranscript(cfg, client, w.roster, func(tag int) ([]byte, error) {
+			f, err := w.RecvFrame(tctx, tag)
+			return f.Payload, err
+		})
+		tcancel()
 		if err != nil {
 			return nil, err
 		}
-		if payload, err = encodePayload(adv); err != nil {
-			return nil, err
-		}
-		if err := conn.Send(transport.Frame{Stage: wireAdvertise, Payload: payload}); err != nil {
-			return nil, err
-		}
-		if err := recv(wireRoster, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
 	}
-	if drop(secagg.StageShareKeys) {
-		return nil, conn.Close()
+	// Clean completion: the server cannot have reconstructed this client's
+	// mask key, so the session may resume at the next handshake (the
+	// handshake set the taint when the round began).
+	if cfg.Session != nil {
+		cfg.Session.ClearTaint()
 	}
-	cts, err := client.ShareKeys(roster)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeShareMsgs(cts); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireShares, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	deliverPayload, err := recvFrame(wireDeliver)
-	if err != nil {
-		return nil, err
-	}
-	delivered, err := decodeShareMsgs(deliverPayload)
-	if err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageMaskedInput) {
-		return nil, conn.Close()
-	}
-	masked, err := client.MaskedInput(delivered)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeMaskedInput(masked); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireMasked, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	var u3 []uint64
-	if err := recv(wireConsistencyReq, &u3); err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageConsistencyCheck) {
-		return nil, conn.Close()
-	}
-	cons, err := client.ConsistencyCheck(u3)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodePayload(cons); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireConsistency, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	var unmaskReq secagg.UnmaskRequest
-	if err := recv(wireUnmaskReq, &unmaskReq); err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageUnmasking) {
-		return nil, conn.Close()
-	}
-	um, err := client.Unmask(unmaskReq)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeUnmask(um); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireUnmask, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Either a stage-5 request or the final result arrives next.
-	for {
-		f, err := conn.Recv(ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch f.Stage {
-		case wireNoiseReq:
-			var nr secagg.NoiseShareRequest
-			if err := decodePayload(f.Payload, &nr); err != nil {
-				return nil, err
-			}
-			if drop(secagg.StageNoiseRemoval) {
-				return nil, conn.Close()
-			}
-			ns, err := client.RevealNoiseShares(nr)
-			if err != nil {
-				return nil, err
-			}
-			if payload, err = encodePayload(ns); err != nil {
-				return nil, err
-			}
-			if err := conn.Send(transport.Frame{Stage: wireNoise, Payload: payload}); err != nil {
-				return nil, err
-			}
-		case wireResult:
-			res, err := decodeResult(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			// The transcript frames follow the result on the same ordered
-			// connection; a failed audit fails the round before the taint
-			// is cleared — a round whose aggregate the client cannot
-			// verify is not a clean completion. The wait is bounded: an
-			// aggregator that never sends the frames (transcripts off, or
-			// this shard's partial missed the fold) fails the audit
-			// instead of hanging the client.
-			if cfg.Transcript != nil {
-				td := cfg.TranscriptDeadline
-				if td <= 0 {
-					td = 10 * time.Second
-				}
-				tctx, tcancel := context.WithTimeout(ctx, td)
-				recvTranscript := func(stage int) ([]byte, error) {
-					for {
-						f, err := conn.Recv(tctx)
-						if err != nil {
-							return nil, err
-						}
-						if f.Stage == stage {
-							return f.Payload, nil
-						}
-					}
-				}
-				err := verifyClientTranscript(cfg, client, roster, recvTranscript)
-				tcancel()
-				if err != nil {
-					return nil, err
-				}
-			}
-			// Clean completion: the server cannot have reconstructed this
-			// client's mask key, so the session may resume at the next
-			// handshake (the handshake set the taint when the round began).
-			if cfg.Session != nil {
-				cfg.Session.ClearTaint()
-			}
-			return &res, nil
-		}
-	}
+	return &res, nil
 }
 
 // verifyClientTranscript runs the client's post-result audit: receive the

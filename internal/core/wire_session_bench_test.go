@@ -80,10 +80,8 @@ func benchWireStragglerRound(b *testing.B, quorum bool) {
 				_, _ = RunWireClient(ctx, cfg, conns[id])
 			}()
 		}
-		srvCfg := WireServerConfig{
-			SecAgg: saCfg, StageDeadline: deadline, NoUnmaskQuorum: !quorum,
-		}
-		_, err := RunWireServer(ctx, srvCfg, net.Server())
+		srvCfg := WireServerConfig{SecAgg: saCfg, StageDeadline: deadline}
+		_, err := runWireServer(ctx, srvCfg, net.Server(), quorum)
 		cancel()
 		wg.Wait()
 		if err != nil {

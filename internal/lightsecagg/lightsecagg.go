@@ -635,20 +635,16 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 	return out, nil
 }
 
-// Server is the aggregator's round state machine. Mirroring secagg.Server,
-// it exposes two equivalent collection surfaces per stage:
-//
-//   - incremental: AddAdvertise/AddShareBundle/AddMasked/AddAggShare
-//     ingest one message on arrival (envelope routing and partial
-//     masked-input accumulation happen immediately), and the per-stage
-//     Seal* methods close the stage, enforce the threshold, and emit the
-//     next broadcast. This is what the streaming round engine drives: by
-//     the time a stage's last message arrives, the per-message work is
-//     already done and Seal is an O(1) (or O(U)) tail. The server never
-//     materializes the n×d masked matrix — arrivals fold into one
-//     d-length running sum.
-//   - batch: CollectMasked and Reconstruct are thin wrappers kept for
-//     white-box tests and non-streaming callers.
+// Server is the aggregator's round state machine. Mirroring
+// secagg.Server, its Add* methods (AddAdvertise, AddShareBundle,
+// AddMasked, AddAggShare) ingest one message on arrival (envelope routing
+// and partial masked-input accumulation happen immediately), and the
+// per-stage Seal* methods close the stage, enforce the threshold, and
+// emit the next broadcast. RunStages drives them through the streaming
+// round engine: by the time a stage's last message arrives, the
+// per-message work is already done and Seal is an O(1) (or O(U)) tail.
+// The server never materializes the n×d masked matrix — arrivals fold
+// into one d-length running sum.
 //
 // Methods must be called in stage order. A Server is not safe for
 // concurrent use; the round engine serializes Add* calls in admission
@@ -826,12 +822,6 @@ func (s *Server) MaskedDigests() []transcript.InputDigest {
 	return out
 }
 
-// CollectMasked stores a client's masked input (batch wrapper over
-// AddMasked, kept for white-box tests and non-streaming callers).
-func (s *Server) CollectMasked(id uint64, y []field.Element) error {
-	return s.AddMasked(MaskedMsg{From: id, Y: y})
-}
-
 // SealMasked closes stage 2: it checks the recovery threshold and returns
 // the sorted surviving set for the stage-3 broadcast.
 func (s *Server) SealMasked() ([]uint64, error) {
@@ -926,68 +916,6 @@ func (s *Server) SealAggShares() ([]field.Element, error) {
 		out[i] = field.Sub(s.maskedSum[i], maskSum[i])
 	}
 	return out, nil
-}
-
-// PartialSum is the sealed output of one LightSecAgg aggregator in the
-// two-level topology: the recovered field-element sum plus the survivor
-// accounting a root combiner folds (the lightsecagg analogue of
-// secagg.PartialSum). The substrate has no XNoise removal stage, so there
-// is no removed-component accounting; the shard driver reduces Sum into
-// the ring before sealing its combine.Partial, exactly as the
-// single-aggregator path does after recovery.
-type PartialSum struct {
-	// Sum is Σ survivors' inputs in GF(2^61−1) (lossless for ring values
-	// when n·2^Bits < p, checked by the round driver).
-	Sum []field.Element
-	// Survivors and Dropped partition the configured roster by whether
-	// the client's masked input is in Sum.
-	Survivors []uint64
-	Dropped   []uint64
-}
-
-// FinalizePartial performs the one-shot recovery (SealAggShares) and
-// seals this aggregator's partial sum with its survivor accounting.
-func (s *Server) FinalizePartial() (PartialSum, error) {
-	sum, err := s.SealAggShares()
-	if err != nil {
-		return PartialSum{}, err
-	}
-	res := PartialSum{Sum: sum, Survivors: append([]uint64(nil), s.survivors...)}
-	in := make(map[uint64]bool, len(s.survivors))
-	for _, id := range s.survivors {
-		in[id] = true
-	}
-	for _, id := range s.cfg.ClientIDs {
-		if !in[id] {
-			res.Dropped = append(res.Dropped, id)
-		}
-	}
-	return res, nil
-}
-
-// Reconstruct performs the one-shot recovery from a batch of aggregate
-// shares keyed by responder id (batch wrapper over AddAggShare and
-// SealAggShares; it feeds shares in ascending id order, so like the
-// historical implementation it reconstructs from the U lowest responders).
-func (s *Server) Reconstruct(aggShares map[uint64][]field.Element) ([]field.Element, error) {
-	u := s.cfg.RecoveryThreshold()
-	if len(s.Survivors()) < u {
-		return nil, fmt.Errorf("lightsecagg: only %d survivors, recovery threshold %d", len(s.Survivors()), u)
-	}
-	if len(aggShares) < u {
-		return nil, fmt.Errorf("lightsecagg: only %d share responses, need %d", len(aggShares), u)
-	}
-	responders := make([]uint64, 0, len(aggShares))
-	for id := range aggShares {
-		responders = append(responders, id)
-	}
-	sort.Slice(responders, func(i, j int) bool { return responders[i] < responders[j] })
-	for _, id := range responders {
-		if err := s.AddAggShare(AggShareMsg{From: id, S: aggShares[id]}); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealAggShares()
 }
 
 // Lift embeds a signed integer into the field (negative values wrap to

@@ -1,23 +1,19 @@
 package lightsecagg
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/field"
 )
 
-// In-process driver: one full LightSecAgg round with every live client as
-// its own goroutine, stage messages streaming into the shared round
-// engine exactly as wire frames would, and the server's incremental
-// Add*/Seal* methods consuming them on arrival — the same overlapped
-// round machinery the SecAgg drivers run on (secagg.Run), replacing the
-// historical sequential batch loop. Coded shares travel inside pairwise
-// AEAD envelopes in-process too, so the drivers exercise identical crypto
-// and the session layer's channel-secret cache is observable in both.
+// In-process driver: one full LightSecAgg round on the shared stage
+// sequences (Server.RunStages, Client.RunStages) over the in-process
+// carrier (engine.InProc), every live client as its own goroutine. Coded
+// shares travel inside pairwise AEAD envelopes in-process too, so both
+// drivers exercise identical crypto and the session layer's
+// channel-secret cache is observable in both.
 
 // Stage identifies a point in the client lifecycle, for dropout
 // injection and in-process uplink tags.
@@ -64,29 +60,6 @@ func (d DropSchedule) Participates(id uint64, s Stage) bool {
 	return !drops || s < dropStage
 }
 
-func (d DropSchedule) participants(ids []uint64, s Stage) []uint64 {
-	out := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if d.Participates(id, s) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// lockedReader serializes reads so concurrent client goroutines can share
-// one entropy source.
-type lockedReader struct {
-	mu sync.Mutex
-	r  io.Reader
-}
-
-func (l *lockedReader) Read(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Read(p)
-}
-
 // Run executes one full round in-process with dropout injection. Clients
 // in dropsBeforeUpload complete offline sharing but never upload;
 // clients in dropsBeforeRecovery upload but never answer the recovery
@@ -131,7 +104,7 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 	if err != nil {
 		return nil, err
 	}
-	shared := &lockedReader{r: rand}
+	shared := engine.LockedReader(rand)
 	clients := make(map[uint64]*Client, len(cfg.ClientIDs))
 	for _, id := range cfg.ClientIDs {
 		if _, ok := inputs[id]; !ok {
@@ -148,192 +121,21 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 		clients[id] = c
 	}
 
-	// In-process star network: one uplink channel into the engine, one
-	// buffered inbox per client. Buffers are sized so no send ever blocks,
-	// which lets the round abort at any stage without stranding goroutines.
-	uplink := make(chan engine.Msg, len(cfg.ClientIDs)*(int(stageCount)+1))
-	inboxes := make(map[uint64]chan any, len(cfg.ClientIDs))
-	var wg sync.WaitGroup
+	carrier := engine.NewInProc(cfg.ClientIDs, int(stageCount), func(id uint64, s int) bool {
+		return drops.Participates(id, Stage(s))
+	})
+	defer carrier.Close()
 	for _, id := range cfg.ClientIDs {
-		inbox := make(chan any, int(stageCount)+1)
-		inboxes[id] = inbox
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			runInProcClient(clients[id], id, inputs[id], drops, inbox, uplink, resume)
-		}(id)
-	}
-	defer func() {
-		for _, inbox := range inboxes {
-			close(inbox) // release clients parked on a broadcast that never came
+		c, input := clients[id], inputs[id]
+		dropBefore, ok := drops[id]
+		if !ok {
+			dropBefore = -1
 		}
-		wg.Wait()
-	}()
-
-	ctx := context.Background()
-	eng := engine.New(func(ctx context.Context) (engine.Msg, error) {
-		select {
-		case m := <-uplink:
-			return m, nil
-		case <-ctx.Done():
-			return engine.Msg{}, ctx.Err()
-		}
-	})
-	// collect runs one stage to completion: every expected (live) client
-	// deterministically answers or reports an error, so no deadline.
-	collect := func(stage Stage, expect []uint64, quorum int, apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(ctx, engine.Stage{
-			Name:   stage.String(),
-			Tag:    int(stage),
-			Expect: drops.participants(expect, stage),
-			Quorum: quorum,
-			Apply: func(from uint64, body any) error {
-				if err, ok := body.(error); ok {
-					return err // client-side stage failure aborts the round
-				}
-				return apply(from, body)
-			},
+		carrier.Go(id, func(cc engine.ClientCarrier) error {
+			_, err := c.RunStages(cc, input, !resume, dropBefore)
+			return err
 		})
-		return err
 	}
-	sendTo := func(ids []uint64, body any) {
-		for _, id := range ids {
-			inboxes[id] <- body
-		}
-	}
-
-	// Stage 0: advertise — collected normally, or skipped entirely when
-	// the shared sessions hold a roster sealed for this client set.
-	var roster []AdvertiseMsg
-	if resume {
-		roster = sess.Server.RosterFor(cfg.ClientIDs)
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := collect(StageAdvertise, cfg.ClientIDs, 0, func(_ uint64, body any) error {
-			return server.AddAdvertise(body.(AdvertiseMsg))
-		}); err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		if sess != nil {
-			sess.Server.StoreRoster(roster, cfg.ClientIDs)
-		}
-	}
-	sendTo(cfg.ClientIDs, roster)
-
-	// Stage 1: sealed coded shares, routed into per-recipient outboxes on
-	// arrival.
-	if err := collect(StageShares, cfg.ClientIDs, 0, func(from uint64, body any) error {
-		return server.AddShareBundle(from, body.([]Envelope))
-	}); err != nil {
-		return nil, err
-	}
-	deliveries, err := server.SealShareBundles()
-	if err != nil {
-		return nil, err
-	}
-	for id, envs := range deliveries {
-		inboxes[id] <- envs
-	}
-
-	// Stage 2: masked uploads fold into the server's running partial
-	// aggregate as each client goroutine finishes masking.
-	if err := collect(StageMaskedInput, cfg.ClientIDs, 0, func(from uint64, body any) error {
-		m := body.(MaskedMsg)
-		m.From = from // engine-verified sender wins, as on the wire
-		return server.AddMasked(m)
-	}); err != nil {
-		return nil, err
-	}
-	survivors, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	responders := drops.participants(survivors, StageAggShare)
-	sendTo(responders, survivors)
-
-	// Stage 3: one-shot recovery — any U aggregate shares complete the
-	// stage (engine quorum), then the seal interpolates the mask sum.
-	if err := collect(StageAggShare, responders, cfg.RecoveryThreshold(),
-		func(from uint64, body any) error {
-			m := body.(AggShareMsg)
-			m.From = from // engine-verified sender wins, as on the wire
-			return server.AddAggShare(m)
-		}); err != nil {
-		return nil, err
-	}
-	return server.SealAggShares()
-}
-
-// runInProcClient drives one client state machine: it advances when the
-// server's broadcast for the next stage arrives on its inbox, emits each
-// stage message (or the stage error, which aborts the round) on the
-// uplink, and stops at its scheduled drop stage. A closed inbox means the
-// round ended without this client. With resume, stage 0 is skipped: the
-// cached roster arrives on the inbox like any broadcast.
-func runInProcClient(c *Client, id uint64, input []field.Element, drops DropSchedule,
-	inbox <-chan any, uplink chan<- engine.Msg, resume bool) {
-
-	send := func(stage Stage, body any) {
-		uplink <- engine.Msg{From: id, Stage: int(stage), Body: body}
-	}
-	step := func(stage Stage, op string, fn func() (any, error)) bool {
-		if !drops.Participates(id, stage) {
-			return false
-		}
-		body, err := fn()
-		if err != nil {
-			send(stage, fmt.Errorf("client %d %s: %w", id, op, err))
-			return false
-		}
-		send(stage, body)
-		return true
-	}
-
-	if !resume {
-		if !step(StageAdvertise, "advertise", func() (any, error) { return c.Advertise(), nil }) {
-			return
-		}
-	}
-	b, ok := <-inbox
-	if !ok {
-		return
-	}
-	roster := b.([]AdvertiseMsg)
-	if !step(StageShares, "seal shares", func() (any, error) { return c.SealShares(roster) }) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	delivered := b.([]Envelope)
-	if !step(StageMaskedInput, "masked input", func() (any, error) {
-		if err := c.OpenEnvelopes(delivered); err != nil {
-			return nil, err
-		}
-		y, err := c.MaskedInput(input)
-		if err != nil {
-			return nil, err
-		}
-		return MaskedMsg{From: id, Y: y}, nil
-	}) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	survivors := b.([]uint64)
-	step(StageAggShare, "aggregate share", func() (any, error) {
-		s, err := c.AggregateShare(survivors)
-		if err != nil {
-			return nil, err
-		}
-		return AggShareMsg{From: id, S: s}, nil
-	})
+	// Resumed rounds hand every client the server's cached roster.
+	return server.RunStages(carrier, resume, nil)
 }

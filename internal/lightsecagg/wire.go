@@ -1,12 +1,14 @@
 package lightsecagg
 
-// Wire driver: one LightSecAgg round over a transport.Transport, built on
-// the shared round engine exactly like core.RunWireServer. Coded mask
-// shares relay through the untrusted server (the star topology of §3.3)
-// inside pairwise AEAD envelopes keyed by X25519 agreement — otherwise
-// the server could collect U of them and unmask every client.
+// Wire driver: one LightSecAgg round over a transport.Transport. The stage
+// sequence is this package's own (Server.RunStages, Client.RunStages);
+// this file is the wire carrier that moves its messages as codec frames,
+// plus the result broadcast. Coded mask shares relay through the
+// untrusted server (the star topology of §3.3) inside pairwise AEAD
+// envelopes keyed by X25519 agreement — otherwise the server could
+// collect U of them and unmask every client.
 //
-// Stages:
+// Frames:
 //
 //	0 advertise   client → server: X25519 channel public key
 //	1 roster      server → clients: all public keys (gob)
@@ -19,13 +21,12 @@ package lightsecagg
 //
 // The server collects every stage through engine.Collect: frames are
 // admitted as they arrive, decoded concurrently on the bounded worker
-// pool, and applied to the incremental Server in admission order, so the
-// masked stage folds uploads into the running aggregate while later
-// uploads are still in flight, and the recovery stage completes on the
-// first U aggregate shares (engine quorum) instead of waiting for every
-// survivor. With sessions (WireServerConfig.Session / WireClientConfig.
-// Session and the Resume flags), consecutive rounds skip the advertise
-// round trip and reuse the cached channel secrets and coding matrices.
+// pool, and applied to the incremental Server in admission order, each
+// stage ending when every client answered or at the stage deadline (the
+// recovery stage on the first U aggregate shares). With sessions
+// (WireServerConfig.Session / WireClientConfig.Session and the Resume
+// flags), consecutive rounds skip the advertise round trip and reuse the
+// cached channel secrets and coding matrices.
 
 import (
 	"bytes"
@@ -33,6 +34,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -62,6 +64,19 @@ const (
 	WireDropBeforeMasked
 	WireDropBeforeAggShare
 )
+
+// stage maps the injection point to the protocol stage the client
+// vanishes before (negative: never).
+func (w WireStage) stage() Stage {
+	switch w {
+	case WireDropBeforeMasked:
+		return StageMaskedInput
+	case WireDropBeforeAggShare:
+		return StageAggShare
+	default:
+		return -1
+	}
+}
 
 func gobEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer
@@ -105,12 +120,40 @@ type WireServerConfig struct {
 	Engine *engine.Engine
 }
 
-func broadcast(conn transport.ServerConn, ids []uint64, stage int, payload []byte) {
-	for _, id := range ids {
-		// Errors mean the client vanished; the protocol's thresholds
-		// handle that downstream.
-		_ = conn.SendTo(id, transport.Frame{Stage: stage, Payload: payload})
+// gobDecodeAs decodes a gob control message into a T.
+func gobDecodeAs[T any](p []byte) (any, error) {
+	var v T
+	if err := gobDecode(p, &v); err != nil {
+		return nil, err
 	}
+	return v, nil
+}
+
+// wireStages binds each protocol stage to its frame tags and codecs.
+var wireStages = []engine.WireStage{
+	StageAdvertise: {Up: wireAdvertise,
+		EncodeUp: func(v any) ([]byte, error) { return v.(AdvertiseMsg).Pub, nil },
+		DecodeUp: func(p []byte) (any, error) { return AdvertiseMsg{Pub: p}, nil }},
+	StageShares: {Up: wireShares, Down: wireRoster,
+		EncodeUp: engine.Encoder(encodeEnvelopes), DecodeUp: engine.Decoder(decodeEnvelopes),
+		EncodeDown: gobEncode, DecodeDown: gobDecodeAs[[]AdvertiseMsg]},
+	StageMaskedInput: {Up: wireMasked, Down: wireDeliver,
+		EncodeUp: engine.Encoder(encodeMasked), DecodeUp: engine.Decoder(decodeMasked),
+		EncodeDown: engine.Encoder(encodeEnvelopes), DecodeDown: engine.Decoder(decodeEnvelopes)},
+	StageAggShare: {Up: wireAggShare, Down: wireSurvivors,
+		EncodeUp: engine.Encoder(encodeAggShare), DecodeUp: engine.Decoder(decodeAggShare),
+		EncodeDown: gobEncode, DecodeDown: gobDecodeAs[[]uint64]},
+}
+
+// fullResumeServer is the wire carrier of a fully resumed round: it sends
+// no roster, since every client reads it from its own session.
+type fullResumeServer struct{ *engine.WireServer }
+
+func (w fullResumeServer) Send(stage int, to []uint64, body any) error {
+	if stage == int(StageShares) {
+		return nil
+	}
+	return w.WireServer.Send(stage, to, body)
 }
 
 // RunWireServer drives the server side of one LightSecAgg round through
@@ -125,150 +168,18 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("lightsecagg: resume requires a server session")
 	}
-	c := cfg.Config
-	ids := c.ClientIDs
-
-	server, err := NewSessionServer(c, cfg.Session)
+	server, err := NewSessionServer(cfg.Config, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
 	roundCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	eng := cfg.Engine
-	if eng == nil {
-		eng = engine.New(engine.TransportSource(roundCtx, conn))
+	ws := engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages)
+	var w engine.Carrier = ws
+	if cfg.Resume && len(cfg.Divergent) == 0 {
+		w = fullResumeServer{ws}
 	}
-	collect := func(name string, tag int, expect []uint64, quorum int,
-		decode func(m engine.Msg) (any, error), apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(roundCtx, engine.Stage{
-			Name: name, Tag: tag, Expect: expect, Quorum: quorum,
-			Deadline: cfg.StageDeadline, Decode: decode, Apply: apply,
-		})
-		return err
-	}
-
-	// Stage 0/1: channel keys — collected over the wire, skipped entirely
-	// on a full resume, or collected from just the divergent subset on a
-	// partial resume (cached entries pre-seed the stage, the merged roster
-	// is broadcast to everyone).
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	var roster []AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		roster = cfg.Session.RosterFor(ids)
-		if roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster for this client set")
-		}
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	case partial:
-		cached := cfg.Session.RosterFor(ids)
-		if cached == nil {
-			return nil, fmt.Errorf("lightsecagg: partial resume without a cached roster for this client set")
-		}
-		for _, m := range cached {
-			if err := server.AddAdvertise(m); err != nil {
-				return nil, err
-			}
-		}
-		err = collect("advertise", wireAdvertise, cfg.Divergent, 0, nil,
-			func(from uint64, body any) error {
-				return server.AddAdvertise(AdvertiseMsg{From: from, Pub: body.([]byte)})
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-		rosterPayload, err := gobEncode(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, ids, wireRoster, rosterPayload)
-	default:
-		err = collect("advertise", wireAdvertise, ids, 0, nil,
-			func(from uint64, body any) error {
-				return server.AddAdvertise(AdvertiseMsg{From: from, Pub: body.([]byte)})
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-		rosterPayload, err := gobEncode(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, ids, wireRoster, rosterPayload)
-	}
-
-	// Stage 2/3: sealed share envelopes, routed into recipient outboxes
-	// on arrival.
-	err = collect("shares", wireShares, ids, 0,
-		func(m engine.Msg) (any, error) { return decodeEnvelopes(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			return server.AddShareBundle(from, body.([]Envelope))
-		})
-	if err != nil {
-		return nil, err
-	}
-	deliveries, err := server.SealShareBundles()
-	if err != nil {
-		return nil, err
-	}
-	for id, envs := range deliveries {
-		payload, err := encodeEnvelopes(envs)
-		if err != nil {
-			return nil, err
-		}
-		_ = conn.SendTo(id, transport.Frame{Stage: wireDeliver, Payload: payload})
-	}
-
-	// Stage 4/5: masked inputs fold into the running partial aggregate as
-	// they decode; the stage close is a threshold check plus sort.
-	err = collect("masked", wireMasked, ids, 0,
-		func(m engine.Msg) (any, error) { return decodeMasked(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			// Stamp the transport-verified origin over whatever the payload
-			// claims, so one client cannot spoof another's upload (the same
-			// defense AddShareBundle applies to envelopes).
-			m := body.(MaskedMsg)
-			m.From = from
-			return server.AddMasked(m)
-		})
-	if err != nil {
-		return nil, err
-	}
-	survivors, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	survPayload, err := gobEncode(survivors)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, survivors, wireSurvivors, survPayload)
-
-	// Stage 6: one-shot aggregate shares — any U responses complete the
-	// stage (engine quorum), stragglers need not be waited out.
-	err = collect("agg-share", wireAggShare, survivors, c.RecoveryThreshold(),
-		func(m engine.Msg) (any, error) { return decodeAggShare(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			// Transport-verified origin wins here too: a spoofed From would
-			// feed shares under the wrong rank into the recovery.
-			m := body.(AggShareMsg)
-			m.From = from
-			return server.AddAggShare(m)
-		})
-	if err != nil {
-		return nil, err
-	}
-	sum, err := server.SealAggShares()
+	sum, err := server.RunStages(w, cfg.Resume, cfg.Divergent)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +187,9 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	if err != nil {
 		return nil, err
 	}
-	broadcast(conn, survivors, wireResult, resPayload)
+	for _, id := range server.Survivors() {
+		_ = conn.SendTo(id, transport.Frame{Stage: wireResult, Payload: resPayload}) // vanished clients are not an error
+	}
 	return sum, nil
 }
 
@@ -302,6 +215,33 @@ type WireClientConfig struct {
 	Divergent []uint64
 }
 
+// wireClient adds session rosters to the wire carrier: on a full resume
+// the roster comes from the client's session, otherwise the one received
+// is stored in it.
+type wireClient struct {
+	*engine.WireClient
+	session    *Session
+	fullResume bool
+}
+
+func (w *wireClient) Recv(stage int) (any, error) {
+	if stage != int(StageShares) {
+		return w.WireClient.Recv(stage)
+	}
+	if w.fullResume {
+		roster := w.session.Roster()
+		if roster == nil {
+			return nil, fmt.Errorf("lightsecagg: resume without a cached roster")
+		}
+		return roster, nil
+	}
+	body, err := w.WireClient.Recv(stage)
+	if err == nil && w.session != nil {
+		w.session.StoreRoster(body.([]AdvertiseMsg))
+	}
+	return body, err
+}
+
 // RunWireClient drives one client through the round. It returns the
 // aggregate (nil when the client drops or is excluded from the result
 // broadcast).
@@ -316,118 +256,20 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if err != nil {
 		return nil, err
 	}
-
-	// Stage 0/1: advertise the channel key and learn the roster, resume on
-	// the session's cached roster, or the partial-resume variants: a
-	// divergent client advertises fresh, a non-divergent one skips
-	// advertise and takes the merged roster broadcast.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	selfDivergent := false
-	for _, id := range cfg.Divergent {
-		if id == cfg.ID {
-			selfDivergent = true
-		}
-	}
-	var roster []AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		if roster = cfg.Session.Roster(); roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster at client %d", cfg.ID)
-		}
-	case partial && !selfDivergent:
-		f, err := recvStage(ctx, conn, wireRoster)
-		if err != nil {
-			return nil, err
-		}
-		if err := gobDecode(f.Payload, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	default:
-		adv := client.Advertise()
-		if err := conn.Send(transport.Frame{Stage: wireAdvertise, Payload: adv.Pub}); err != nil {
-			return nil, err
-		}
-		f, err := recvStage(ctx, conn, wireRoster)
-		if err != nil {
-			return nil, err
-		}
-		if err := gobDecode(f.Payload, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	}
-
-	// Stage 2: seal one coded share per peer.
-	envs, err := client.SealShares(roster)
+	// A re-keyed client advertises; a resumed one takes its cached roster
+	// (full resume) or the merged roster broadcast (partial resume). A
+	// divergent member of a partial resume advertises fresh.
+	w := &wireClient{WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
+		session: cfg.Session, fullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	advertise := !cfg.Resume || slices.Contains(cfg.Divergent, cfg.ID)
+	dropped, err := client.RunStages(w, cfg.Input, advertise, cfg.DropBefore.stage())
 	if err != nil {
 		return nil, err
 	}
-	payload, err := encodeEnvelopes(envs)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireShares, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 3: unseal the envelopes addressed to us.
-	f, err := recvStage(ctx, conn, wireDeliver)
-	if err != nil {
-		return nil, err
-	}
-	inbox, err := decodeEnvelopes(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := client.OpenEnvelopes(inbox); err != nil {
-		return nil, err
-	}
-
-	// Stage 4: masked upload (dropout injection point).
-	if cfg.DropBefore == WireDropBeforeMasked {
+	if dropped {
 		return nil, conn.Close()
 	}
-	y, err := client.MaskedInput(cfg.Input)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeMasked(MaskedMsg{From: cfg.ID, Y: y}); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireMasked, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 5/6: survivors, then the one-shot aggregate share.
-	f, err = recvStage(ctx, conn, wireSurvivors)
-	if err != nil {
-		return nil, err
-	}
-	var survivors []uint64
-	if err := gobDecode(f.Payload, &survivors); err != nil {
-		return nil, err
-	}
-	if cfg.DropBefore == WireDropBeforeAggShare {
-		return nil, conn.Close()
-	}
-	agg, err := client.AggregateShare(survivors)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeAggShare(AggShareMsg{From: cfg.ID, S: agg}); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireAggShare, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 7: the result.
-	f, err = recvStage(ctx, conn, wireResult)
+	payload, err := w.RecvResult()
 	if err != nil {
 		return nil, err
 	}
@@ -437,17 +279,5 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if cfg.Session != nil {
 		cfg.Session.ClearTaint()
 	}
-	return decodeLSAResult(f.Payload)
-}
-
-func recvStage(ctx context.Context, conn transport.ClientConn, stage int) (transport.Frame, error) {
-	for {
-		f, err := conn.Recv(ctx)
-		if err != nil {
-			return transport.Frame{}, err
-		}
-		if f.Stage == stage {
-			return f, nil
-		}
-	}
+	return decodeLSAResult(payload)
 }

@@ -1,10 +1,8 @@
 package secagg
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/ring"
@@ -51,24 +49,12 @@ type RunResult struct {
 	Clients map[uint64]*Client
 }
 
-// lockedReader serializes reads so concurrent client goroutines can share
-// one entropy source (callers commonly pass deterministic readers in
-// tests; crypto/rand.Reader is safe either way).
-type lockedReader struct {
-	mu sync.Mutex
-	r  io.Reader
-}
-
-func (l *lockedReader) Read(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Read(p)
-}
-
-// Run executes one full aggregation round in-process: every live client
-// runs as its own goroutine, its stage messages stream into the shared
-// round engine exactly as wire frames would, and the server's incremental
-// Add*/Seal* methods consume them on arrival — client compute overlaps
+// Run executes one full aggregation round in-process: the shared stage
+// sequences (Server.RunStages, Client.RunStages) over the in-process
+// carrier (engine.InProc). Every live client runs as its own goroutine,
+// its stage messages stream into the round engine as typed values, and
+// the server's incremental Add*/Seal* methods consume them on arrival —
+// client compute overlaps
 // server-side collection, per the paper's §4.1 pipelining claim. Dropouts
 // are injected per the schedule with the same semantics as the historical
 // sequential driver: a client that drops before stage k contributes to
@@ -105,7 +91,7 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 	if err != nil {
 		return nil, err
 	}
-	shared := &lockedReader{r: rand}
+	shared := engine.LockedReader(rand)
 	clients := make(map[uint64]*Client, len(cfg.ClientIDs))
 	for _, id := range cfg.ClientIDs {
 		input, ok := inputs[id]
@@ -127,236 +113,24 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 		clients[id] = c
 	}
 
-	// In-process star network: one uplink channel into the engine, one
-	// buffered inbox per client. Buffers are sized so no send ever blocks
-	// (≤ one uplink message per client per stage, ≤ one broadcast per
-	// stage), which lets Run abort at any stage without stranding
-	// goroutines.
-	uplink := make(chan engine.Msg, len(cfg.ClientIDs)*(int(stageCount)+1))
-	inboxes := make(map[uint64]chan any, len(cfg.ClientIDs))
-	var wg sync.WaitGroup
-	for _, id := range cfg.ClientIDs {
-		inbox := make(chan any, int(stageCount)+1)
-		inboxes[id] = inbox
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			runInProcClient(clients[id], id, drops, inbox, uplink, resume)
-		}(id)
-	}
-	defer func() {
-		for _, inbox := range inboxes {
-			close(inbox) // release clients parked on a broadcast that never came
-		}
-		wg.Wait()
-	}()
-
-	ctx := context.Background()
-	eng := engine.New(func(ctx context.Context) (engine.Msg, error) {
-		select {
-		case m := <-uplink:
-			return m, nil
-		case <-ctx.Done():
-			return engine.Msg{}, ctx.Err()
-		}
+	carrier := engine.NewInProc(cfg.ClientIDs, int(stageCount), func(id uint64, s int) bool {
+		return drops.participates(id, Stage(s))
 	})
-	// collect runs one stage to completion: every expected (live) client
-	// deterministically answers or reports an error, so no deadline.
-	collect := func(stage Stage, expect []uint64, apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(ctx, engine.Stage{
-			Name:   stage.String(),
-			Tag:    int(stage),
-			Expect: drops.participants(expect, stage),
-			Apply: func(from uint64, body any) error {
-				if err, ok := body.(error); ok {
-					return err // client-side stage failure aborts the round
-				}
-				return apply(from, body)
-			},
+	defer carrier.Close()
+	for _, id := range cfg.ClientIDs {
+		c, dropBefore := clients[id], Stage(-1)
+		if s, ok := drops[id]; ok {
+			dropBefore = s
+		}
+		carrier.Go(id, func(cc engine.ClientCarrier) error {
+			_, err := c.RunStages(cc, !resume, dropBefore)
+			return err
 		})
-		return err
 	}
-	sendTo := func(ids []uint64, body any) {
-		for _, id := range ids {
-			inboxes[id] <- body
-		}
-	}
-
-	// Stage 0: AdvertiseKeys — collected normally, or skipped entirely when
-	// the shared sessions hold a roster sealed for this client set (the keys
-	// are unchanged, so re-advertising would be a no-op round trip).
-	var roster []AdvertiseMsg
-	if resume {
-		roster = sess.Server.RosterFor(cfg.ClientIDs)
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := collect(StageAdvertiseKeys, cfg.ClientIDs, func(_ uint64, body any) error {
-			return server.AddAdvertise(body.(AdvertiseMsg))
-		}); err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		if sess != nil {
-			sess.Server.StoreRoster(roster, cfg.ClientIDs)
-		}
-	}
-	u1 := make([]uint64, 0, len(roster))
-	for _, m := range roster {
-		u1 = append(u1, m.From)
-	}
-	sendTo(u1, roster)
-
-	// Stage 1: ShareKeys.
-	if err := collect(StageShareKeys, u1, func(from uint64, body any) error {
-		return server.AddShare(from, body.([]EncryptedShareMsg))
-	}); err != nil {
-		return nil, err
-	}
-	deliveries, err := server.SealShares()
-	if err != nil {
-		return nil, err
-	}
-	u2 := make([]uint64, 0, len(deliveries))
-	for id, cts := range deliveries {
-		inboxes[id] <- cts
-		u2 = append(u2, id)
-	}
-
-	// Stage 2: MaskedInputCollection — masked vectors fold into the
-	// server's partial aggregate as each client goroutine finishes masking.
-	if err := collect(StageMaskedInput, u2, func(_ uint64, body any) error {
-		return server.AddMasked(body.(MaskedInputMsg))
-	}); err != nil {
-		return nil, err
-	}
-	u3, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	sendTo(u3, u3)
-
-	// Stage 3: ConsistencyCheck (uniform flow; signatures empty when
-	// semi-honest).
-	if err := collect(StageConsistencyCheck, u3, func(_ uint64, body any) error {
-		return server.AddConsistency(body.(ConsistencyMsg))
-	}); err != nil {
-		return nil, err
-	}
-	unmaskReq, err := server.SealConsistency()
-	if err != nil {
-		return nil, err
-	}
-	sendTo(unmaskReq.U4, unmaskReq)
-
-	// Stage 4: Unmasking.
-	if err := collect(StageUnmasking, unmaskReq.U4, func(_ uint64, body any) error {
-		return server.AddUnmask(body.(UnmaskMsg))
-	}); err != nil {
-		return nil, err
-	}
-	noiseReq, err := server.SealUnmask()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 5: ExcessiveNoiseRemoval (only when survivors died between
-	// stages 2 and 4).
-	if noiseReq != nil {
-		sendTo(noiseReq.U5, *noiseReq)
-		if err := collect(StageNoiseRemoval, noiseReq.U5, func(_ uint64, body any) error {
-			return server.AddNoiseShare(body.(NoiseShareMsg))
-		}); err != nil {
-			return nil, err
-		}
-		if err := server.SealNoiseShares(); err != nil {
-			return nil, err
-		}
-	}
-
-	res, err := server.Finalize()
+	// Resumed rounds hand every client the server's cached roster.
+	res, err := server.RunStages(carrier, resume, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{Result: res, Server: server, Clients: clients}, nil
-}
-
-// runInProcClient drives one client state machine: it advances when the
-// server's broadcast for the next stage arrives on its inbox, emits each
-// stage message (or the stage error, which aborts the round) on the
-// uplink, and stops at its scheduled drop stage. A closed inbox means the
-// round ended without this client (abort, threshold exclusion, or a
-// result it does not receive in-process). With resume, stage 0 is skipped:
-// the session's keys are installed locally and the cached roster arrives
-// on the inbox like any broadcast.
-func runInProcClient(c *Client, id uint64, drops DropSchedule, inbox <-chan any, uplink chan<- engine.Msg, resume bool) {
-	send := func(stage Stage, body any) {
-		uplink <- engine.Msg{From: id, Stage: int(stage), Body: body}
-	}
-	step := func(stage Stage, op string, fn func() (any, error)) bool {
-		if !drops.participates(id, stage) {
-			return false
-		}
-		body, err := fn()
-		if err != nil {
-			send(stage, fmt.Errorf("client %d %s: %w", id, op, err))
-			return false
-		}
-		send(stage, body)
-		return true
-	}
-
-	if !resume {
-		if !step(StageAdvertiseKeys, "advertise", func() (any, error) { return c.AdvertiseKeys() }) {
-			return
-		}
-	}
-	b, ok := <-inbox
-	if !ok {
-		return
-	}
-	roster := b.([]AdvertiseMsg)
-	if !step(StageShareKeys, "share keys", func() (any, error) {
-		if resume {
-			if err := c.SkipAdvertise(); err != nil {
-				return nil, err
-			}
-		}
-		return c.ShareKeys(roster)
-	}) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	delivered := b.([]EncryptedShareMsg)
-	if !step(StageMaskedInput, "masked input", func() (any, error) { return c.MaskedInput(delivered) }) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	u3 := b.([]uint64)
-	if !step(StageConsistencyCheck, "consistency", func() (any, error) { return c.ConsistencyCheck(u3) }) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	req := b.(UnmaskRequest)
-	if !step(StageUnmasking, "unmask", func() (any, error) { return c.Unmask(req) }) {
-		return
-	}
-	b, ok = <-inbox
-	if !ok {
-		return
-	}
-	nr := b.(NoiseShareRequest)
-	step(StageNoiseRemoval, "noise shares", func() (any, error) { return c.RevealNoiseShares(nr) })
 }

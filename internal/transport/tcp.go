@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"net"
 	"sort"
@@ -54,7 +55,7 @@ func (s *TCPServer) acceptLoop() {
 
 func (s *TCPServer) handshake(conn net.Conn) {
 	var idBuf [8]byte
-	if _, err := readFull(conn, idBuf[:]); err != nil {
+	if _, err := io.ReadFull(conn, idBuf[:]); err != nil {
 		conn.Close()
 		return
 	}
@@ -89,18 +90,6 @@ func (s *TCPServer) handshake(conn net.Conn) {
 			s.inbox <- f
 		}
 	}()
-}
-
-func readFull(conn net.Conn, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := conn.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // SendTo implements ServerConn.
