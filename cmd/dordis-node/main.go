@@ -779,20 +779,6 @@ func printResult(cfg secagg.Config, res *secagg.Result) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- LightSecAgg roles ---
 
 func lsaInput(dim int, value uint64) []field.Element {

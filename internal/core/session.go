@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/lightsecagg"
@@ -71,7 +72,7 @@ func (p *SessionPool) acquire(ids []uint64, rand io.Reader) (*secagg.RoundSessio
 	if max < 1 {
 		max = 1
 	}
-	if p.sess != nil && p.roundsUsed < max && sameIDs(p.ids, ids) && !p.sess.Server.HasTaint() {
+	if p.sess != nil && p.roundsUsed < max && slices.Equal(p.ids, ids) && !p.sess.Server.HasTaint() {
 		step := uint64(p.roundsUsed)
 		p.roundsUsed++
 		p.sess.Server.MarkRatchetUsed(step)
@@ -99,7 +100,7 @@ func (p *SessionPool) acquireLightSecAgg(ids []uint64, rand io.Reader) (*lightse
 	if max < 1 {
 		max = 1
 	}
-	if p.lsa != nil && p.lsaRounds < max && sameIDs(p.lsaIDs, ids) {
+	if p.lsa != nil && p.lsaRounds < max && slices.Equal(p.lsaIDs, ids) {
 		p.lsaRounds++
 		return p.lsa, nil
 	}
@@ -128,16 +129,4 @@ func (p *SessionPool) invalidate(ids []uint64) {
 	if p.sess != nil {
 		p.sess.Server.MarkTainted(ids...)
 	}
-}
-
-func sameIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,13 +17,13 @@ import (
 )
 
 // Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport.
-// The stage sequence is secagg's own (Server.RunStages, Client.RunStages);
-// this file is the wire carrier that moves its messages as codec frames,
-// plus the wire-only steps around it: the result broadcast, the
-// transcript, and the session taint. The server collects each stage's responses until either every
-// live client answered or the stage deadline fires — the deadline-based
-// collection of the paper's §2.1 ("collects the updates from participants
-// until a certain deadline").
+// The stage sequence is secagg's own (Server.RunStages, Client.RunStages)
+// over the engine's wire carrier; this file binds the stages to frame tags
+// and codecs and adds the wire-only steps: the result broadcast, the
+// transcript, and the session taint. The server collects each stage's
+// responses until either every live client answered or the stage deadline
+// fires — the deadline-based collection of the paper's §2.1 ("collects
+// the updates from participants until a certain deadline").
 //
 // Collection streams through the shared round engine (internal/engine): a
 // fan-in goroutine drains the transport continuously, admitted frames are

@@ -7,9 +7,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"time"
-
-	"repro/internal/transport"
 )
 
 // Carriers. Each substrate writes its round once, as one server stage
@@ -17,9 +14,9 @@ import (
 // client stage sequence (a RunClient step table). The sequences never
 // touch a channel or a connection: a carrier moves each stage's messages.
 // There are two kinds. InProc carries typed values on channels between
-// goroutines, with nothing encoded or copied; the wire carriers
-// (core/wire.go, lightsecagg/wire.go) carry codec frames over a
-// transport. A carrier owns everything that differs between the two: how
+// goroutines, with nothing encoded or copied; WireServer and WireClient
+// (wire.go) carry codec frames over a transport, each substrate binding
+// its stages to tags and codecs in a WireStage table. A carrier owns everything that differs between the two: how
 // a stage ends, what a client failure does, and where a resumed client's
 // roster comes from.
 
@@ -82,6 +79,31 @@ func RunClient(cc ClientCarrier, id uint64, steps []ClientStep, dropBefore int) 
 	return false, nil
 }
 
+// DropSchedule maps a client id to the protocol stage before which it
+// vanishes: the client completes every earlier stage and none from that
+// stage on. Clients absent from the map never drop.
+type DropSchedule[S ~int] map[uint64]S
+
+// Participates reports whether the client is still alive at the stage.
+func (d DropSchedule[S]) Participates(id uint64, s S) bool {
+	dropStage, drops := d[id]
+	return !drops || s < dropStage
+}
+
+// Participants filters ids to those alive at the stage.
+func (d DropSchedule[S]) Participants(ids []uint64, s S) []uint64 {
+	return slices.DeleteFunc(slices.Clone(ids), func(id uint64) bool { return !d.Participates(id, s) })
+}
+
+// Before returns the stage the client vanishes before, or -1 if it never
+// drops: the dropBefore of RunClient.
+func (d DropSchedule[S]) Before(id uint64) S {
+	if s, ok := d[id]; ok {
+		return s
+	}
+	return -1
+}
+
 // errRoundOver is what an in-process client's Recv returns once the round
 // ended without sending it the stage's message.
 var errRoundOver = errors.New("engine: round over")
@@ -128,13 +150,7 @@ func NewInProc(ids []uint64, stages int, alive func(id uint64, stage int) bool) 
 
 // Collect implements Carrier.
 func (p *InProc) Collect(s Stage) error {
-	live := make([]uint64, 0, len(s.Expect))
-	for _, id := range s.Expect {
-		if p.alive(id, s.Tag) {
-			live = append(live, id)
-		}
-	}
-	s.Expect = live
+	s.Expect = slices.DeleteFunc(slices.Clone(s.Expect), func(id uint64) bool { return !p.alive(id, s.Tag) })
 	apply := s.Apply
 	s.Apply = func(from uint64, body any) error {
 		if err, ok := body.(error); ok {
@@ -197,135 +213,6 @@ func (c *inProcClient) Recv(stage int) (any, error) {
 	}
 	c.stage = stage
 	return body, nil
-}
-
-// WireStage binds one protocol stage to the wire: the frame tag and codec
-// of the client's upload (Up) and of the server message that opens the
-// stage (Down; the first stage has none).
-type WireStage struct {
-	Up, Down             int
-	EncodeUp, EncodeDown func(any) ([]byte, error)
-	DecodeUp, DecodeDown func([]byte) (any, error)
-}
-
-// Encoder and Decoder adapt a typed codec to a WireStage.
-func Encoder[T any](enc func(T) ([]byte, error)) func(any) ([]byte, error) {
-	return func(v any) ([]byte, error) { return enc(v.(T)) }
-}
-
-// Decoder is Encoder's inverse; see Encoder.
-func Decoder[T any](dec func([]byte) (T, error)) func([]byte) (any, error) {
-	return func(p []byte) (any, error) { return dec(p) }
-}
-
-// WireServer is the server end of the wire carrier: a stage collects
-// frames through the engine until every expected client answered or the
-// deadline fired, and server messages go out as codec frames.
-type WireServer struct {
-	ctx      context.Context
-	eng      *Engine
-	conn     transport.ServerConn
-	deadline time.Duration
-	stages   []WireStage
-}
-
-// NewWireServer builds the server end over conn. ctx must span the round.
-// eng nil builds a round-scoped engine over conn; a connection that
-// carries more than one round (or a handshake first) must share one.
-func NewWireServer(ctx context.Context, eng *Engine, conn transport.ServerConn,
-	deadline time.Duration, stages []WireStage) *WireServer {
-	if eng == nil {
-		eng = New(TransportSource(ctx, conn))
-	}
-	return &WireServer{ctx: ctx, eng: eng, conn: conn, deadline: deadline, stages: stages}
-}
-
-// Collect implements Carrier.
-func (w *WireServer) Collect(s Stage) error {
-	ws := w.stages[s.Tag]
-	s.Tag, s.Deadline = ws.Up, w.deadline
-	s.Decode = func(m Msg) (any, error) { return ws.DecodeUp(m.Body.([]byte)) }
-	_, err := w.eng.Collect(w.ctx, s)
-	return err
-}
-
-// Send implements Carrier.
-func (w *WireServer) Send(stage int, to []uint64, body any) error {
-	payload, err := w.stages[stage].EncodeDown(body)
-	if err != nil {
-		return err
-	}
-	for _, id := range to {
-		// An error means the client vanished; the protocol's thresholds
-		// handle that downstream.
-		_ = w.conn.SendTo(id, transport.Frame{Stage: w.stages[stage].Down, Payload: payload})
-	}
-	return nil
-}
-
-// WireClient is the client end of the wire carrier. The round's result
-// frame may arrive in place of the last stage's opening message (a round
-// that needs nothing more from this client); Recv then keeps it for
-// RecvResult and returns no message.
-type WireClient struct {
-	ctx       context.Context
-	conn      transport.ClientConn
-	stages    []WireStage
-	resultTag int
-	result    []byte
-}
-
-// NewWireClient builds the client end over conn; resultTag tags the
-// round's result frame.
-func NewWireClient(ctx context.Context, conn transport.ClientConn, stages []WireStage, resultTag int) *WireClient {
-	return &WireClient{ctx: ctx, conn: conn, stages: stages, resultTag: resultTag}
-}
-
-// Send implements ClientCarrier.
-func (w *WireClient) Send(stage int, body any) error {
-	payload, err := w.stages[stage].EncodeUp(body)
-	if err != nil {
-		return err
-	}
-	return w.conn.Send(transport.Frame{Stage: w.stages[stage].Up, Payload: payload})
-}
-
-// Recv implements ClientCarrier.
-func (w *WireClient) Recv(stage int) (any, error) {
-	tags := []int{w.stages[stage].Down}
-	if stage == len(w.stages)-1 {
-		tags = append(tags, w.resultTag)
-	}
-	f, err := w.RecvFrame(w.ctx, tags...)
-	if err != nil {
-		return nil, err
-	}
-	if f.Stage == w.resultTag {
-		w.result = f.Payload
-		return nil, nil
-	}
-	return w.stages[stage].DecodeDown(f.Payload)
-}
-
-// RecvResult returns the payload of the round's result frame, waiting for
-// it unless it already arrived.
-func (w *WireClient) RecvResult() ([]byte, error) {
-	if w.result != nil {
-		return w.result, nil
-	}
-	f, err := w.RecvFrame(w.ctx, w.resultTag)
-	return f.Payload, err
-}
-
-// RecvFrame blocks for the next frame carrying one of tags, discarding
-// any other (stale broadcasts, replays).
-func (w *WireClient) RecvFrame(ctx context.Context, tags ...int) (transport.Frame, error) {
-	for {
-		f, err := w.conn.Recv(ctx)
-		if err != nil || slices.Contains(tags, f.Stage) {
-			return f, err
-		}
-	}
 }
 
 // LockedReader serializes reads so concurrent goroutines (in-process

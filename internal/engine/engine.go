@@ -17,13 +17,16 @@
 //
 // The engine is protocol-agnostic: message bodies are opaque (raw frame
 // payloads on the wire, typed messages in-process), and the stage spec
-// supplies the decode and apply steps. All four round drivers run on it —
-// core.RunWireServer and lightsecagg.RunWireServer over a real transport
-// (via TransportSource), secagg.Run and lightsecagg.Run in-process with
-// clients as goroutines. Stages that need any-K-of-N completion rather
-// than all-of-N (LightSecAgg's one-shot recovery accepts any U aggregate
-// shares) set Stage.Quorum. See ARCHITECTURE.md for how the engine maps
-// onto the paper's pipeline stages.
+// supplies the decode and apply steps. Each substrate's stage sequence
+// (secagg and lightsecagg RunStages) collects through a carrier that runs
+// on it (carrier.go, wire.go): InProc for the in-process entry points
+// (secagg.Run, lightsecagg.Run), with clients as goroutines, and
+// WireServer/WireClient for the wire entry points (core.RunWireServer,
+// lightsecagg.RunWireServer), over a transport via TransportSource.
+// Stages that need any-K-of-N completion rather than all-of-N
+// (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
+// Stage.Quorum. See ARCHITECTURE.md for how the engine maps onto the
+// paper's pipeline stages.
 package engine
 
 import (
@@ -37,9 +40,9 @@ import (
 )
 
 // Msg is one protocol message offered to the engine. Body is opaque: the
-// wire driver passes the raw frame payload ([]byte), the in-process
-// driver passes typed protocol messages (or an error, which the driver's
-// Apply surfaces to abort the round).
+// wire carrier passes the raw frame payload ([]byte), the in-process
+// carrier passes typed protocol messages (or a client's error, which its
+// Collect surfaces to abort the round).
 type Msg struct {
 	From  uint64
 	Stage int
@@ -339,8 +342,8 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 // buffered channel for the round's whole lifetime, so slow stage
 // processing (decode pool full, apply in progress) never backpressures
 // the transport mid-collection. ctx must span the round; cancelling it
-// stops the fan-in. Both wire drivers (core and lightsecagg) build their
-// engines on this source.
+// stops the fan-in. The wire carrier (NewWireServer) builds its engine on
+// this source.
 func TransportSource(ctx context.Context, conn transport.ServerConn) RecvFunc {
 	frames := make(chan transport.Frame, 256)
 	go func() {

@@ -40,11 +40,12 @@
 // structured exactly like its SecAgg sibling:
 //
 //   - Client is a per-round state machine (Advertise → SealShares →
-//     OpenEnvelopes → MaskedInput → AggregateShare) driven identically by
-//     the in-process driver (Run/RunWithSessions, clients as goroutines)
-//     and the wire driver (RunWireClient). Coded shares always travel
-//     inside pairwise AEAD envelopes, in-process too, so both drivers
-//     exercise the same crypto path.
+//     OpenEnvelopes → MaskedInput → AggregateShare) driven by one stage
+//     sequence (Client.RunStages, stages.go) for both the in-process
+//     driver (Run/RunWithSessions, clients as goroutines) and the wire
+//     driver (RunWireClient). Coded shares always travel inside pairwise
+//     AEAD envelopes, in-process too, so both drivers exercise the same
+//     crypto path.
 //   - Server exposes incremental per-message Add*/Seal* collection
 //     surfaces (AddAdvertise, AddShareBundle, AddMasked, AddAggShare, and
 //     the matching Seal* closers) mirroring secagg.Server. Masked inputs
@@ -255,9 +256,9 @@ func routeAD(round, from, to uint64) []byte {
 	return []byte(fmt.Sprintf("lsa/%d/%d/%d", round, from, to))
 }
 
-// Client is one participant's round state machine. Its stage methods are
-// driven identically by the in-process driver (run.go) and the wire driver
-// (wire.go); see the package comment for the stage order.
+// Client is one participant's round state machine. RunStages (stages.go)
+// drives its stage methods for both the in-process and the wire driver;
+// see the package comment for the stage order.
 type Client struct {
 	cfg     Config
 	id      uint64
@@ -837,19 +838,10 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	return s.survivors, nil
 }
 
-// Survivors returns the sorted ids that uploaded masked inputs; recovery
-// needs at least U of the *share responses*, checked in SealAggShares.
-func (s *Server) Survivors() []uint64 {
-	if s.survivors != nil {
-		return s.survivors
-	}
-	out := make([]uint64, 0, len(s.maskedSet))
-	for id := range s.maskedSet {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Survivors returns the sorted ids whose masked inputs SealMasked
+// admitted; recovery needs at least U of the *share responses*, checked
+// in SealAggShares.
+func (s *Server) Survivors() []uint64 { return s.survivors }
 
 // AddAggShare ingests one one-shot recovery response on arrival,
 // preserving admission order: SealAggShares reconstructs from the first U

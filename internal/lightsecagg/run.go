@@ -31,18 +31,11 @@ const (
 
 // String implements fmt.Stringer.
 func (s Stage) String() string {
-	switch s {
-	case StageAdvertise:
-		return "advertise"
-	case StageShares:
-		return "shares"
-	case StageMaskedInput:
-		return "masked-input"
-	case StageAggShare:
-		return "agg-share"
-	default:
+	names := [...]string{"advertise", "shares", "masked-input", "agg-share"}
+	if s < 0 || int(s) >= len(names) {
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
+	return names[s]
 }
 
 // DropSchedule maps a client id to the stage *before* which it vanishes.
@@ -52,13 +45,7 @@ func (s Stage) String() string {
 // dropout points of the §6.1 model are StageMaskedInput (vanish before
 // uploading; excluded from the aggregate) and StageAggShare (vanish
 // before answering the one-shot recovery; included in the aggregate).
-type DropSchedule map[uint64]Stage
-
-// Participates reports whether the client is still alive at the stage.
-func (d DropSchedule) Participates(id uint64, s Stage) bool {
-	dropStage, drops := d[id]
-	return !drops || s < dropStage
-}
+type DropSchedule = engine.DropSchedule[Stage]
 
 // Run executes one full round in-process with dropout injection. Clients
 // in dropsBeforeUpload complete offline sharing but never upload;
@@ -126,11 +113,7 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 	})
 	defer carrier.Close()
 	for _, id := range cfg.ClientIDs {
-		c, input := clients[id], inputs[id]
-		dropBefore, ok := drops[id]
-		if !ok {
-			dropBefore = -1
-		}
+		c, input, dropBefore := clients[id], inputs[id], drops.Before(id)
 		carrier.Go(id, func(cc engine.ClientCarrier) error {
 			_, err := c.RunStages(cc, input, !resume, dropBefore)
 			return err

@@ -1,9 +1,11 @@
 package lightsecagg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/aead"
@@ -323,7 +325,7 @@ func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.roster == nil || !sameIDs(s.rosterIDs, clientIDs) {
+	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
 		return nil
 	}
 	return s.roster
@@ -683,31 +685,7 @@ func (rs *RoundSessions) resumable(cfg Config) bool {
 			return false
 		}
 		sess := rs.Client[m.From]
-		if sess == nil || !sameBytes(sess.PublicBytes(), m.Pub) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if sess == nil || !bytes.Equal(sess.PublicBytes(), m.Pub) {
 			return false
 		}
 	}

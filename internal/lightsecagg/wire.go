@@ -86,11 +86,13 @@ func gobEncode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func gobDecode(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("lightsecagg: decoding payload: %w", err)
+// gobDecode decodes a gob control message into a T.
+func gobDecode[T any](p []byte) (any, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("lightsecagg: decoding payload: %w", err)
 	}
-	return nil
+	return v, nil
 }
 
 // WireServerConfig configures the wire server for one round.
@@ -120,15 +122,6 @@ type WireServerConfig struct {
 	Engine *engine.Engine
 }
 
-// gobDecodeAs decodes a gob control message into a T.
-func gobDecodeAs[T any](p []byte) (any, error) {
-	var v T
-	if err := gobDecode(p, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // wireStages binds each protocol stage to its frame tags and codecs.
 var wireStages = []engine.WireStage{
 	StageAdvertise: {Up: wireAdvertise,
@@ -136,13 +129,13 @@ var wireStages = []engine.WireStage{
 		DecodeUp: func(p []byte) (any, error) { return AdvertiseMsg{Pub: p}, nil }},
 	StageShares: {Up: wireShares, Down: wireRoster,
 		EncodeUp: engine.Encoder(encodeEnvelopes), DecodeUp: engine.Decoder(decodeEnvelopes),
-		EncodeDown: gobEncode, DecodeDown: gobDecodeAs[[]AdvertiseMsg]},
+		EncodeDown: gobEncode, DecodeDown: gobDecode[[]AdvertiseMsg]},
 	StageMaskedInput: {Up: wireMasked, Down: wireDeliver,
 		EncodeUp: engine.Encoder(encodeMasked), DecodeUp: engine.Decoder(decodeMasked),
 		EncodeDown: engine.Encoder(encodeEnvelopes), DecodeDown: engine.Decoder(decodeEnvelopes)},
 	StageAggShare: {Up: wireAggShare, Down: wireSurvivors,
 		EncodeUp: engine.Encoder(encodeAggShare), DecodeUp: engine.Decoder(decodeAggShare),
-		EncodeDown: gobEncode, DecodeDown: gobDecodeAs[[]uint64]},
+		EncodeDown: gobEncode, DecodeDown: gobDecode[[]uint64]},
 }
 
 // fullResumeServer is the wire carrier of a fully resumed round: it sends

@@ -4,9 +4,10 @@
 //
 // The protocol is expressed as two explicit state machines — Client and
 // Server — whose per-stage methods consume the previous stage's messages
-// and produce the next. A thin orchestrator (Run) drives a full round
-// in-process with configurable dropout injection; the same state machines
-// are driven over a real transport by package core.
+// and produce the next. One stage sequence (Server.RunStages and
+// Client.RunStages, stages.go) drives them through a round; Run runs it
+// in-process with configurable dropout injection, and package core runs
+// the same sequence over a real transport.
 //
 // Stages (Fig. 5):
 //

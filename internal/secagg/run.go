@@ -15,31 +15,7 @@ import (
 // dropout model: "they drop out after being sampled but before sending
 // their masked and perturbed update"). Clients absent from the map never
 // drop.
-type DropSchedule map[uint64]Stage
-
-// participates reports whether the client is still alive at the stage.
-func (d DropSchedule) participates(id uint64, s Stage) bool {
-	dropStage, drops := d[id]
-	return !drops || s < dropStage
-}
-
-// Participates reports whether the client is still alive at the stage —
-// the exported form drivers use to partition aggregated vs. dropped
-// clients under a per-stage schedule.
-func (d DropSchedule) Participates(id uint64, s Stage) bool {
-	return d.participates(id, s)
-}
-
-// participants filters ids to those alive at the stage.
-func (d DropSchedule) participants(ids []uint64, s Stage) []uint64 {
-	out := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if d.participates(id, s) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+type DropSchedule = engine.DropSchedule[Stage]
 
 // RunResult bundles the round outcome with the protocol actors, which
 // white-box tests inspect.
@@ -114,14 +90,11 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 	}
 
 	carrier := engine.NewInProc(cfg.ClientIDs, int(stageCount), func(id uint64, s int) bool {
-		return drops.participates(id, Stage(s))
+		return drops.Participates(id, Stage(s))
 	})
 	defer carrier.Close()
 	for _, id := range cfg.ClientIDs {
-		c, dropBefore := clients[id], Stage(-1)
-		if s, ok := drops[id]; ok {
-			dropBefore = s
-		}
+		c, dropBefore := clients[id], drops.Before(id)
 		carrier.Go(id, func(cc engine.ClientCarrier) error {
 			_, err := c.RunStages(cc, !resume, dropBefore)
 			return err

@@ -1,7 +1,9 @@
 package secagg
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dh"
@@ -407,7 +409,7 @@ func (s *Server) initCohorts() {
 	}
 	s.keyNeed = make(map[uint64]int)
 	for _, v := range s.u2 {
-		if contains(s.u3, v) {
+		if slices.Contains(s.u3, v) {
 			continue
 		}
 		if s.session.key(s.roster[v].MaskPub) != nil {
@@ -516,7 +518,7 @@ func (s *Server) unmask() error {
 	// the per-neighbor key agreements and mask expansions — the bulk of the
 	// work — run on the workers, hitting the session cache when one is live.
 	for _, v := range s.u2 {
-		if contains(s.u3, v) {
+		if slices.Contains(s.u3, v) {
 			continue
 		}
 		v := v
@@ -537,7 +539,7 @@ func (s *Server) unmask() error {
 			}
 			// Sanity: the rebuilt key must match the advertised public key —
 			// detects clients that shared a wrong key (malicious behavior).
-			if !equalBytes(kp.PublicBytes(), advPub) {
+			if !bytes.Equal(kp.PublicBytes(), advPub) {
 				return fmt.Errorf("secagg: reconstructed key of %d does not match advertisement", v)
 			}
 			s.session.storeKey(advPub, kp)
@@ -639,7 +641,7 @@ func (s *Server) SealNoiseShares() error {
 	numDropped := len(s.cfg.ClientIDs) - len(s.u3)
 	ks := s.cfg.XNoise.RemovalComponents(numDropped)
 	for _, v := range s.u3 {
-		if contains(s.u5, v) {
+		if slices.Contains(s.u5, v) {
 			continue
 		}
 		// All K seed sharings of one client are normally reported by the
@@ -719,7 +721,7 @@ func (s *Server) FinalizePartial() (PartialSum, error) {
 		Survivors: append([]uint64(nil), s.u3...),
 	}
 	for _, id := range s.cfg.ClientIDs {
-		if !contains(s.u3, id) {
+		if !slices.Contains(s.u3, id) {
 			res.Dropped = append(res.Dropped, id)
 		}
 	}
@@ -758,25 +760,4 @@ func (s *Server) Finalize() (Result, error) {
 	}
 	return Result{Sum: p.Sum.Data, Survivors: p.Survivors, Dropped: p.Dropped,
 		RemovedComponents: p.RemovedComponents}, nil
-}
-
-func contains(ids []uint64, id uint64) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,9 +1,11 @@
 package secagg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/aead"
@@ -450,7 +452,7 @@ func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.roster == nil || !equalIDs(s.rosterIDs, clientIDs) {
+	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
 		return nil
 	}
 	return s.roster
@@ -677,7 +679,7 @@ func (rs *RoundSessions) resumable(cfg *Config, drops DropSchedule) bool {
 	if roster == nil {
 		return false
 	}
-	expect := drops.participants(cfg.ClientIDs, StageAdvertiseKeys)
+	expect := drops.Participants(cfg.ClientIDs, StageAdvertiseKeys)
 	if len(roster) != len(expect) {
 		return false
 	}
@@ -692,8 +694,8 @@ func (rs *RoundSessions) resumable(cfg *Config, drops DropSchedule) bool {
 			return false
 		}
 		cipherKey, maskKey := sess.keyPairs()
-		if !equalBytes(cipherKey.PublicBytes(), m.CipherPub) ||
-			!equalBytes(maskKey.PublicBytes(), m.MaskPub) {
+		if !bytes.Equal(cipherKey.PublicBytes(), m.CipherPub) ||
+			!bytes.Equal(maskKey.PublicBytes(), m.MaskPub) {
 			return false
 		}
 	}

@@ -79,17 +79,15 @@ func (s *Server) RunStages(c engine.Carrier, resume bool, divergent []uint64) (R
 	if err != nil {
 		return Result{}, err
 	}
-	u2 := make([]uint64, 0, len(deliveries))
-	for id, cts := range deliveries {
-		if err := send(StageMaskedInput, []uint64{id}, cts); err != nil {
+	for _, id := range s.u2 {
+		if err := send(StageMaskedInput, []uint64{id}, deliveries[id]); err != nil {
 			return Result{}, err
 		}
-		u2 = append(u2, id)
 	}
 
 	// Stage 2: MaskedInputCollection — masked vectors fold into the
 	// partial aggregate as they arrive.
-	if err := collect(StageMaskedInput, u2, func(_ uint64, body any) error {
+	if err := collect(StageMaskedInput, s.u2, func(_ uint64, body any) error {
 		return s.AddMasked(body.(MaskedInputMsg))
 	}); err != nil {
 		return Result{}, err
