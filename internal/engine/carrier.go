@@ -16,9 +16,9 @@ import (
 // There are two kinds. InProc carries typed values on channels between
 // goroutines, with nothing encoded or copied; WireServer and WireClient
 // (wire.go) carry codec frames over a transport, each substrate binding
-// its stages to tags and codecs in a WireStage table. A carrier owns everything that differs between the two: how
-// a stage ends, what a client failure does, and where a resumed client's
-// roster comes from.
+// its stages to tags and codecs in a WireStage table. A carrier owns
+// everything that differs between the two: how a stage ends, what a
+// client failure does, and where a resumed client's roster comes from.
 
 // Carrier is the server end of a round's message carrier.
 type Carrier interface {
@@ -65,14 +65,14 @@ func RunClient(cc ClientCarrier, id uint64, steps []ClientStep, dropBefore int) 
 		if dropBefore >= 0 && st.Stage >= dropBefore {
 			return true, nil
 		}
-		out, err := st.Run(in)
-		if err != nil {
-			return false, fmt.Errorf("client %d %s: %w", id, st.Op, err)
+		out, runErr := st.Run(in)
+		if runErr != nil {
+			return false, fmt.Errorf("client %d %s: %w", id, st.Op, runErr)
 		}
 		if out == nil {
 			continue
 		}
-		if err := cc.Send(st.Stage, out); err != nil {
+		if err = cc.Send(st.Stage, out); err != nil {
 			return false, err
 		}
 	}
