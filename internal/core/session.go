@@ -36,20 +36,22 @@ type SessionPool struct {
 	// may serve. Values ≤ 1 mean within-round amortization only.
 	RatchetRounds int
 
-	mu         sync.Mutex
-	sess       *secagg.RoundSessions
-	ids        []uint64
-	roundsUsed int
+	mu     sync.Mutex
+	secagg poolArm[*secagg.RoundSessions]
+	// Rounds pinned to ProtocolLightSecAgg draw their sessions here
+	// instead, under the same reuse policy but with no taint: its server
+	// never reconstructs client key material (dropout recovery
+	// interpolates the aggregate mask), so a dropped client's session
+	// stays sound and droppers do not force a re-key.
+	lsa poolArm[*lightsecagg.RoundSessions]
+}
 
-	// LightSecAgg arm: rounds pinned to ProtocolLightSecAgg draw their
-	// sessions here instead. The reuse policy is the same RatchetRounds
-	// lifetime bound and same-roster requirement, but there is no taint
-	// set: LightSecAgg's server never reconstructs client key material
-	// (dropout recovery interpolates the aggregate mask), so a dropped
-	// client's session stays sound and droppers do not force a re-key.
-	lsa       *lightsecagg.RoundSessions
-	lsaIDs    []uint64
-	lsaRounds int
+// poolArm is one substrate's pooled key generation: its sessions, the
+// client set they were made for, and the rounds they have served.
+type poolArm[S any] struct {
+	sess   S
+	ids    []uint64
+	rounds int
 }
 
 // NewSessionPool returns a pool that reuses each key generation for up to
@@ -58,35 +60,42 @@ func NewSessionPool(ratchetRounds int) *SessionPool {
 	return &SessionPool{RatchetRounds: ratchetRounds}
 }
 
-// acquire returns the sessions for a round over ids plus the ratchet step
-// the round must run at. It reuses the pooled sessions when the client set
-// is unchanged, the session layer carries no dropout taint, and the key
-// generation has rounds left; otherwise it generates fresh sessions
-// (step 0). Taint lives in secagg.ServerSession — the same store the wire
-// re-key handshake consults — so reconstruction observed by any driver
-// (in-process DropSchedule or a real wire dropout) forces the same re-key.
+// reuse returns the arm's sessions for a round over ids and the ratchet
+// step the round runs at. It reuses the pooled sessions when the client
+// set is unchanged, the key generation has rounds left under limit, and
+// sound approves them; otherwise it makes fresh ones (step 0). The caller
+// holds the pool lock.
+func (a *poolArm[S]) reuse(ids []uint64, limit int, sound func(S) bool, fresh func() (S, error)) (S, uint64, error) {
+	if a.rounds > 0 && a.rounds < max(limit, 1) && slices.Equal(a.ids, ids) && sound(a.sess) {
+		a.rounds++
+		return a.sess, uint64(a.rounds - 1), nil
+	}
+	sess, err := fresh()
+	if err != nil {
+		return sess, 0, err
+	}
+	a.sess, a.ids, a.rounds = sess, slices.Clone(ids), 1
+	return sess, 0, nil
+}
+
+// acquire returns the secagg sessions for a round over ids plus the
+// ratchet step the round must run at, burning that step on the server
+// session. Reuse additionally requires that the session layer carries no
+// dropout taint. Taint lives in secagg.ServerSession — the same store the
+// wire re-key handshake consults — so reconstruction observed by any
+// driver (in-process DropSchedule or a real wire dropout) forces the same
+// re-key.
 func (p *SessionPool) acquire(ids []uint64, rand io.Reader) (*secagg.RoundSessions, uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	max := p.RatchetRounds
-	if max < 1 {
-		max = 1
-	}
-	if p.sess != nil && p.roundsUsed < max && slices.Equal(p.ids, ids) && !p.sess.Server.HasTaint() {
-		step := uint64(p.roundsUsed)
-		p.roundsUsed++
-		p.sess.Server.MarkRatchetUsed(step)
-		return p.sess, step, nil
-	}
-	sess, err := secagg.NewRoundSessions(ids, rand)
+	sess, step, err := p.secagg.reuse(ids, p.RatchetRounds,
+		func(s *secagg.RoundSessions) bool { return !s.Server.HasTaint() },
+		func() (*secagg.RoundSessions, error) { return secagg.NewRoundSessions(ids, rand) })
 	if err != nil {
 		return nil, 0, err
 	}
-	p.sess = sess
-	p.ids = append([]uint64(nil), ids...)
-	p.roundsUsed = 1
-	sess.Server.MarkRatchetUsed(0)
-	return sess, 0, nil
+	sess.Server.MarkRatchetUsed(step)
+	return sess, step, nil
 }
 
 // acquireLightSecAgg returns the LightSecAgg sessions for a round over
@@ -96,22 +105,10 @@ func (p *SessionPool) acquire(ids []uint64, rand io.Reader) (*secagg.RoundSessio
 func (p *SessionPool) acquireLightSecAgg(ids []uint64, rand io.Reader) (*lightsecagg.RoundSessions, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	max := p.RatchetRounds
-	if max < 1 {
-		max = 1
-	}
-	if p.lsa != nil && p.lsaRounds < max && slices.Equal(p.lsaIDs, ids) {
-		p.lsaRounds++
-		return p.lsa, nil
-	}
-	sess, err := lightsecagg.NewRoundSessions(ids, rand)
-	if err != nil {
-		return nil, err
-	}
-	p.lsa = sess
-	p.lsaIDs = append([]uint64(nil), ids...)
-	p.lsaRounds = 1
-	return sess, nil
+	sess, _, err := p.lsa.reuse(ids, p.RatchetRounds,
+		func(*lightsecagg.RoundSessions) bool { return true },
+		func() (*lightsecagg.RoundSessions, error) { return lightsecagg.NewRoundSessions(ids, rand) })
+	return sess, err
 }
 
 // invalidate marks clients whose sessions must not survive into the next
@@ -126,7 +123,7 @@ func (p *SessionPool) invalidate(ids []uint64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sess != nil {
-		p.sess.Server.MarkTainted(ids...)
+	if p.secagg.sess != nil {
+		p.secagg.sess.Server.MarkTainted(ids...)
 	}
 }

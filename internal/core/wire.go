@@ -143,13 +143,11 @@ var wireStages = []engine.WireStage{
 		EncodeDown: encodePayload, DecodeDown: gobDecode[secagg.NoiseShareRequest]},
 }
 
-// wireServer adds SecAgg's wire rules to the wire carrier: a full resume
-// sends no roster (every client reads it from its own session), stage 4
-// may seal at the unmask quorum, and the sealed roster is kept for the
+// wireServer adds SecAgg's wire rules to the wire carrier: stage 4 may
+// seal at the unmask quorum, and the sealed roster is kept for the
 // transcript.
 type wireServer struct {
 	*engine.WireServer
-	fullResume      bool
 	unmaskQuorum    int
 	unmaskQuorumMet func() bool
 	roster          []secagg.AdvertiseMsg
@@ -163,11 +161,8 @@ func (w *wireServer) Collect(s engine.Stage) error {
 }
 
 func (w *wireServer) Send(stage int, to []uint64, body any) error {
-	if stage == int(secagg.StageShareKeys) {
+	if stage == engine.RosterStage {
 		w.roster = body.([]secagg.AdvertiseMsg)
-		if w.fullResume {
-			return nil
-		}
 	}
 	return w.WireServer.Send(stage, to, body)
 }
@@ -199,10 +194,8 @@ func runWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	}
 	roundCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	w := &wireServer{
-		WireServer: engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages),
-		fullResume: cfg.Resume && len(cfg.Divergent) == 0,
-	}
+	w := &wireServer{WireServer: engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages)}
+	w.FullResume = cfg.Resume && len(cfg.Divergent) == 0
 	// Two quorums can cut the unmask stage before all-of-N: the count
 	// quorum (complete graph: the first t responses are t shares per
 	// cohort) and the per-cohort predicate (SecAgg+ sparse graphs). XNoise
@@ -238,7 +231,7 @@ func runWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 // soft case.
 func emitTranscript(rec *transcript.Recorder, round uint64, roster []secagg.AdvertiseMsg,
 	server *secagg.Server, res *secagg.Result, conn transport.ServerConn) error {
-	t, err := rec.BuildRound(round, secagg.RosterEntries(roster), server.MaskedDigests())
+	t, err := rec.BuildRound(round, engine.RosterEntries(roster), server.MaskedDigests())
 	if err != nil {
 		return err
 	}
@@ -314,37 +307,6 @@ type WireClientConfig struct {
 	TranscriptDeadline time.Duration
 }
 
-// wireClient adds session rosters to the wire carrier: on a full resume
-// the roster comes from the client's session, otherwise the one received
-// is stored in it. The roster is kept for the transcript audit.
-type wireClient struct {
-	*engine.WireClient
-	session    *secagg.Session
-	fullResume bool
-	roster     []secagg.AdvertiseMsg
-}
-
-func (w *wireClient) Recv(stage int) (any, error) {
-	if stage != int(secagg.StageShareKeys) {
-		return w.WireClient.Recv(stage)
-	}
-	if w.fullResume {
-		if w.roster = w.session.Roster(); w.roster == nil {
-			return nil, fmt.Errorf("core: resume without a cached roster")
-		}
-		return w.roster, nil
-	}
-	body, err := w.WireClient.Recv(stage)
-	if err != nil {
-		return nil, err
-	}
-	w.roster = body.([]secagg.AdvertiseMsg)
-	if w.session != nil {
-		w.session.StoreRoster(w.roster)
-	}
-	return body, nil
-}
-
 // RunWireClient drives the client side of one round. It returns the
 // decoded round result frame (nil for clients that dropped or when the
 // protocol ended before dispatch).
@@ -366,8 +328,12 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	// its fresh keys like a re-keyed one. ShareKeys verifies this client's
 	// own entry in whatever roster it ends up with, so a merge that lost or
 	// replaced it fails loudly rather than desynchronize the round.
-	w := &wireClient{WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
-		session: cfg.Session, fullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	w := &engine.SessionClient[secagg.AdvertiseMsg]{
+		WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
+		FullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	if cfg.Session != nil {
+		w.Session = &cfg.Session.Continuity
+	}
 	advertise := !cfg.Resume || slices.Contains(cfg.Divergent, cfg.ID)
 	dropped, err := client.RunStages(w, advertise, cfg.DropBefore)
 	if err != nil {
@@ -396,7 +362,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 			td = 10 * time.Second
 		}
 		tctx, tcancel := context.WithTimeout(ctx, td)
-		err := verifyClientTranscript(cfg, client, w.roster, func(tag int) ([]byte, error) {
+		err := verifyClientTranscript(cfg, client, w.Roster, func(tag int) ([]byte, error) {
 			f, err := w.RecvFrame(tctx, tag)
 			return f.Payload, err
 		})
@@ -436,23 +402,15 @@ func verifyClientTranscript(cfg WireClientConfig, client *secagg.Client,
 	if err != nil {
 		return fmt.Errorf("core: client %d inclusion proof: %w", cfg.ID, err)
 	}
-	var self transcript.RosterEntry
-	found := false
-	for _, m := range roster {
-		if m.From == cfg.ID {
-			self = transcript.RosterEntry{ID: m.From, CipherPub: m.CipherPub, MaskPub: m.MaskPub}
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(roster, func(m secagg.AdvertiseMsg) bool { return m.From == cfg.ID })
+	if i < 0 {
 		return fmt.Errorf("core: client %d has no roster entry to audit against", cfg.ID)
 	}
 	digest, ok := client.MaskedDigest()
 	if !ok {
 		return fmt.Errorf("core: client %d recorded no masked digest", cfg.ID)
 	}
-	if err := cfg.Transcript.VerifyRound(commit, proof, self, digest); err != nil {
+	if err := cfg.Transcript.VerifyRound(commit, proof, roster[i].RosterEntry(), digest); err != nil {
 		return fmt.Errorf("core: client %d transcript audit: %w", cfg.ID, err)
 	}
 	if cfg.CombineTranscript != nil {

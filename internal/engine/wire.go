@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"time"
 
@@ -27,10 +28,19 @@ func Decoder[T any](dec func([]byte) (T, error)) func([]byte) (any, error) {
 	return func(p []byte) (any, error) { return dec(p) }
 }
 
+// RosterStage is the stage the sealed roster opens in every substrate:
+// stage 0 collects the advertisements, and the server's message opening
+// stage 1 is the roster.
+const RosterStage = 1
+
 // WireServer is the server end of the wire carrier: a stage collects
 // frames through the engine until every expected client answered or the
 // deadline fired, and server messages go out as codec frames.
 type WireServer struct {
+	// FullResume marks a fully resumed round: the roster is not sent,
+	// since every client reads it from its own session (SessionClient).
+	FullResume bool
+
 	ctx      context.Context
 	eng      *Engine
 	conn     transport.ServerConn
@@ -60,6 +70,9 @@ func (w *WireServer) Collect(s Stage) error {
 
 // Send implements Carrier.
 func (w *WireServer) Send(stage int, to []uint64, body any) error {
+	if w.FullResume && stage == RosterStage {
+		return nil
+	}
 	payload, err := w.stages[stage].EncodeDown(body)
 	if err != nil {
 		return err
@@ -135,4 +148,38 @@ func (w *WireClient) RecvFrame(ctx context.Context, tags ...int) (transport.Fram
 			return f, err
 		}
 	}
+}
+
+// SessionClient is the wire client carrier of a round on a client
+// session. On a full resume the roster comes from the session and no
+// roster frame is awaited (the server sends none); otherwise the roster
+// received is stored in the session, so the next round can resume on it.
+// Roster is the roster the round ran on, for the transcript audit.
+type SessionClient[M RosterMember] struct {
+	*WireClient
+	Session    *Continuity[M] // nil: no session
+	FullResume bool
+	Roster     []M
+}
+
+// Recv implements ClientCarrier.
+func (w *SessionClient[M]) Recv(stage int) (any, error) {
+	if stage != RosterStage {
+		return w.WireClient.Recv(stage)
+	}
+	if w.FullResume {
+		if w.Roster = w.Session.Roster(); w.Roster == nil {
+			return nil, errors.New("engine: resume without a cached roster")
+		}
+		return w.Roster, nil
+	}
+	body, err := w.WireClient.Recv(stage)
+	if err != nil {
+		return nil, err
+	}
+	w.Roster = body.([]M)
+	if w.Session != nil {
+		w.Session.StoreRoster(w.Roster)
+	}
+	return body, nil
 }

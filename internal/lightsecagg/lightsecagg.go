@@ -227,6 +227,14 @@ type AdvertiseMsg struct {
 	Pub  []byte // X25519 channel public key
 }
 
+// RosterEntry is the member's transcript roster leaf. LightSecAgg
+// advertises a single channel key, carried as the entry's CipherPub with
+// an empty MaskPub — the length-prefixed leaf encoding keeps the two
+// substrates' shapes from ever aliasing.
+func (m AdvertiseMsg) RosterEntry() transcript.RosterEntry {
+	return transcript.RosterEntry{ID: m.From, CipherPub: m.Pub}
+}
+
 // Envelope is one AEAD-sealed coded share in transit. On the uplink, From
 // is the sealing client and To the addressee; the server re-stamps From
 // with the transport-verified origin before relaying, so a malicious peer

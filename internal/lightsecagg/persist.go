@@ -28,9 +28,10 @@ const (
 
 // MarshalBinary serializes the session's amortization state.
 func (s *Session) MarshalBinary() ([]byte, error) {
+	roster, _, next := s.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries || len(s.channel) > maxPersistEntries {
+	if len(roster) > maxPersistEntries || len(s.channel) > maxPersistEntries {
 		return nil, fmt.Errorf("lightsecagg: session exceeds persist caps")
 	}
 	out := []byte{persistMagic, persistTag, persistVersion}
@@ -39,11 +40,11 @@ func (s *Session) MarshalBinary() ([]byte, error) {
 
 	var cnt [4]byte
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRound)
+	binary.LittleEndian.PutUint64(b[:], next)
 	out = append(out, b[:]...)
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
+	binary.LittleEndian.PutUint32(cnt[:], uint32(len(roster)))
 	out = append(out, cnt[:]...)
-	for _, m := range s.roster {
+	for _, m := range roster {
 		binary.LittleEndian.PutUint64(b[:], m.From)
 		out = append(out, b[:]...)
 		out = transport.AppendBlob(out, m.Pub)
@@ -85,7 +86,7 @@ func UnmarshalSession(p []byte) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{key: key, channel: make(map[string][dh.SharedSize]byte)}
-	s.nextRound = binary.LittleEndian.Uint64(src)
+	next := binary.LittleEndian.Uint64(src)
 	src = src[8:]
 
 	if len(src) < 4 {
@@ -96,11 +97,12 @@ func UnmarshalSession(p []byte) (*Session, error) {
 	if n > maxPersistEntries {
 		return nil, fmt.Errorf("lightsecagg: persisted roster of %d entries exceeds cap", n)
 	}
+	var roster []AdvertiseMsg
 	if n > 0 {
 		if n > len(src)/(8+2) {
 			return nil, fmt.Errorf("lightsecagg: persisted roster of %d entries exceeds payload", n)
 		}
-		s.roster = make([]AdvertiseMsg, 0, n)
+		roster = make([]AdvertiseMsg, 0, n)
 		for i := 0; i < n; i++ {
 			if len(src) < 8 {
 				return nil, fmt.Errorf("lightsecagg: persisted roster entry %d truncated", i)
@@ -110,9 +112,10 @@ func UnmarshalSession(p []byte) (*Session, error) {
 			if m.Pub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
 				return nil, err
 			}
-			s.roster = append(s.roster, m)
+			roster = append(roster, m)
 		}
 	}
+	s.Restore(roster, nil, next)
 
 	if len(src) < 4 {
 		return nil, fmt.Errorf("lightsecagg: persisted secret section header truncated")

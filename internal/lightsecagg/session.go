@@ -5,13 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/field"
-	"repro/internal/transcript"
 )
 
 // Session amortization for LightSecAgg, mirroring secagg.Session. The
@@ -41,19 +40,18 @@ import (
 // secrecy for share confidentiality against endpoint-state compromise
 // (see ARCHITECTURE.md for the comparison with the secagg ratchet rules).
 type Session struct {
+	// The cached stage-0 roster (advertise skip) and the rounds this key
+	// generation has served. Unlike secagg's ratchet the counter derives
+	// no mask material (every mask is a fresh one-time pad); it exists so
+	// the handshake's KeyRounds lifetime budget expires LightSecAgg key
+	// generations too.
+	engine.Continuity[AdvertiseMsg]
+
 	key *dh.KeyPair // X25519 channel key advertised in stage 0
 
 	mu      sync.Mutex
 	channel map[string][dh.SharedSize]byte // peer channel pub → agreed secret
-	roster  []AdvertiseMsg                 // cached stage-0 roster (advertise skip)
 	enc     *encodingMatrix                // cached Lagrange encoding matrix
-
-	// nextRound counts the rounds this key generation has served — the
-	// LightSecAgg face of the handshake's NextRatchet/MarkRatchetUsed
-	// surface. Unlike secagg's ratchet it derives no mask material (every
-	// mask is a fresh one-time pad); it exists so the handshake's
-	// KeyRounds lifetime budget expires LightSecAgg key generations too.
-	nextRound uint64
 }
 
 // NewSession generates the session's channel key pair with randomness
@@ -104,56 +102,6 @@ func (s *Session) channelKey(peerPub []byte) ([aead.KeySize]byte, error) {
 	return sec, nil
 }
 
-// StoreRoster caches a stage-0 roster so a later round on the same
-// session can skip the advertise stage. The driver is responsible for
-// only storing rosters it obtained through a completed advertise stage.
-func (s *Session) StoreRoster(roster []AdvertiseMsg) {
-	cp := append([]AdvertiseMsg(nil), roster...)
-	s.mu.Lock()
-	s.roster = cp
-	s.mu.Unlock()
-}
-
-// Roster returns the cached stage-0 roster, or nil when none is stored.
-func (s *Session) Roster() []AdvertiseMsg {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roster
-}
-
-// RosterEntries converts a stage-0 roster into the transcript layer's
-// leaf form. LightSecAgg advertises a single channel key, carried as the
-// entry's CipherPub with an empty MaskPub — the length-prefixed leaf
-// encoding keeps the two shapes from ever aliasing.
-func RosterEntries(roster []AdvertiseMsg) []transcript.RosterEntry {
-	out := make([]transcript.RosterEntry, len(roster))
-	for i, m := range roster {
-		out[i] = transcript.RosterEntry{ID: m.From, CipherPub: m.Pub}
-	}
-	return out
-}
-
-// RosterHash returns the canonical digest of a sealed stage-0 roster: the
-// Merkle root of the transcript layer's roster subtree
-// (transcript.RosterRoot) over every member's (id, channel pub) in roster
-// order — the LightSecAgg half of the re-key handshake's shared-state
-// check, and the roster commitment a round transcript's inclusion proofs
-// verify against (see internal/transcript).
-func RosterHash(roster []AdvertiseMsg) [32]byte {
-	return transcript.RosterRoot(RosterEntries(roster))
-}
-
-// StateHash returns the digest of the roster this session could resume on,
-// with ok=false when no completed advertise stage was cached.
-func (s *Session) StateHash() ([32]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil {
-		return [32]byte{}, false
-	}
-	return RosterHash(s.roster), true
-}
-
 // Taint, ClearTaint and Tainted exist for handshake symmetry with
 // secagg.Session but are deliberately inert: LightSecAgg's server never
 // reconstructs client key material (dropout recovery interpolates the
@@ -162,27 +110,6 @@ func (s *Session) StateHash() ([32]byte, bool) {
 func (s *Session) Taint()        {}
 func (s *Session) ClearTaint()   {}
 func (s *Session) Tainted() bool { return false }
-
-// NextRatchet returns the rounds-served counter of this key generation.
-// LightSecAgg has no mask ratchet (cross-round replay of sealed
-// envelopes is prevented by the (Round, from, to) AEAD associated data
-// instead), but the counter makes the handshake's KeyRounds lifetime
-// budget apply to LightSecAgg key generations exactly as it does to
-// secagg's.
-func (s *Session) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRound
-}
-
-// MarkRatchetUsed advances the rounds-served counter (see NextRatchet).
-func (s *Session) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRound {
-		s.nextRound = step + 1
-	}
-	s.mu.Unlock()
-}
 
 // Rekey replaces the session's channel key pair and drops the cached
 // secrets, the roster, and the rounds-served counter. The geometry-only
@@ -195,12 +122,9 @@ func (s *Session) Rekey(rand io.Reader) error {
 	}
 	s.mu.Lock()
 	s.key = key
-	for k := range s.channel {
-		delete(s.channel, k)
-	}
-	s.roster = nil
-	s.nextRound = 0
+	clear(s.channel)
 	s.mu.Unlock()
+	s.Reset()
 	return nil
 }
 
@@ -211,25 +135,11 @@ func (s *Session) Rekey(rand io.Reader) error {
 // coming round (delivered with the merged roster broadcast) and the
 // dropped edges re-agree on first use.
 func (s *Session) RekeyEdges(ids []uint64) {
-	if len(ids) == 0 {
-		return
-	}
-	drop := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
+	dropped := s.DropMembers(ids)
 	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if drop[m.From] {
-			delete(s.channel, string(m.Pub))
-			continue
-		}
-		kept = append(kept, m)
+	for _, m := range dropped {
+		delete(s.channel, string(m.Pub))
 	}
-	// Fresh slice, not in-place: Roster() hands out the cached slice and a
-	// concurrent holder must keep seeing the roster it was given.
-	s.roster = kept
 	s.mu.Unlock()
 }
 
@@ -280,14 +190,16 @@ func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
 // roster (advertise skip) and the recovery interpolation weights keyed by
 // responder cohort — chunked rounds see the same cohort every chunk, so
 // the O(U²·(U−T)) weight computation runs once per cohort instead of once
-// per chunk. Safe for concurrent use. All methods are nil-receiver safe,
-// so the per-round Server calls them unconditionally.
+// per chunk. Safe for concurrent use. Rekey, RekeyEdges, HasTaint,
+// TaintedMembers and the weight cache are nil-receiver safe, so the
+// per-round Server calls them unconditionally.
 type ServerSession struct {
-	mu        sync.Mutex
-	roster    []AdvertiseMsg
-	rosterIDs []uint64
-	recovery  map[string]recoveryEntry // cohort key → ranks + weights
-	nextRound uint64                   // rounds served (see NextRatchet)
+	// The sealed roster with its client set, and the rounds-served
+	// counter (see Session).
+	engine.Continuity[AdvertiseMsg]
+
+	mu       sync.Mutex
+	recovery map[string]recoveryEntry // cohort key → ranks + weights
 }
 
 // recoveryEntry is one cached cohort's interpolation weights together
@@ -304,70 +216,6 @@ func NewServerSession() *ServerSession {
 	return &ServerSession{recovery: make(map[string]recoveryEntry)}
 }
 
-// StoreRoster caches the sealed stage-0 roster together with the client
-// set it was sealed for.
-func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
-	if s == nil {
-		return
-	}
-	r := append([]AdvertiseMsg(nil), roster...)
-	ids := append([]uint64(nil), clientIDs...)
-	s.mu.Lock()
-	s.roster, s.rosterIDs = r, ids
-	s.mu.Unlock()
-}
-
-// RosterFor returns the cached roster if it was sealed for exactly the
-// given client set, else nil.
-func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
-		return nil
-	}
-	return s.roster
-}
-
-// StateHashFor returns the digest of the roster this session could resume
-// a round over clientIDs on, with ok=false when none is cached for that
-// client set. The roster need not cover every client: the handshake folds
-// the members it misses (MissingMembers) into the divergent subset, and
-// they re-advertise under a partial resume — the share exchange still
-// needs every sampled client, but their channel keys arrive with the
-// merged roster before it runs.
-func (s *ServerSession) StateHashFor(clientIDs []uint64) ([32]byte, bool) {
-	roster := s.RosterFor(clientIDs)
-	if len(roster) == 0 {
-		return [32]byte{}, false
-	}
-	return RosterHash(roster), true
-}
-
-// MissingMembers returns the subset of clientIDs the cached roster (for
-// exactly that client set) does not cover; a resumed round treats them as
-// divergent so they re-advertise. Returns nil when no roster is cached at
-// all. nil-receiver safe.
-func (s *ServerSession) MissingMembers(clientIDs []uint64) []uint64 {
-	roster := s.RosterFor(clientIDs)
-	if roster == nil {
-		return nil
-	}
-	have := make(map[uint64]bool, len(roster))
-	for _, m := range roster {
-		have[m.From] = true
-	}
-	var out []uint64
-	for _, id := range clientIDs {
-		if !have[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // HasTaint reports false always: LightSecAgg's server never reconstructs
 // client key material, so dropouts do not poison the key generation (see
 // Session.Tainted).
@@ -376,36 +224,14 @@ func (s *ServerSession) HasTaint() bool { return false }
 // TaintedMembers returns nil always (see HasTaint).
 func (s *ServerSession) TaintedMembers() []uint64 { return nil }
 
-// NextRatchet returns the rounds-served counter, mirroring
-// Session.NextRatchet: it enforces the handshake's KeyRounds lifetime
-// budget, not a mask ratchet.
-func (s *ServerSession) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRound
-}
-
-// MarkRatchetUsed advances the rounds-served counter.
-func (s *ServerSession) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRound {
-		s.nextRound = step + 1
-	}
-	s.mu.Unlock()
-}
-
 // Rekey drops the cached roster and the rounds-served counter so the
 // next round collects a fresh advertise stage. The recovery-weight cache
 // survives: it depends only on the geometry and responder ranks, not on
 // any key material.
 func (s *ServerSession) Rekey() {
-	if s == nil {
-		return
+	if s != nil {
+		s.Reset()
 	}
-	s.mu.Lock()
-	s.roster, s.rosterIDs = nil, nil
-	s.nextRound = 0
-	s.mu.Unlock()
 }
 
 // RekeyEdges drops the roster entries of the given divergent members so
@@ -414,23 +240,9 @@ func (s *ServerSession) Rekey() {
 // substrate (recovery weights are key-independent), so entries are all
 // there is to drop. nil-receiver safe.
 func (s *ServerSession) RekeyEdges(ids []uint64) {
-	if s == nil || len(ids) == 0 {
-		return
+	if s != nil {
+		s.DropMembers(ids)
 	}
-	drop := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if !drop[m.From] {
-			kept = append(kept, m)
-		}
-	}
-	// Fresh slice for the same aliasing reason as Session.RekeyEdges.
-	s.roster = kept
-	s.mu.Unlock()
 }
 
 // cohortKey identifies a recovery cohort by what the weights actually
@@ -672,7 +484,7 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 // the cached entry. (The offline phase needs every sampled client, so
 // there is no partial-roster resume.)
 func (rs *RoundSessions) resumable(cfg Config) bool {
-	if rs == nil {
+	if rs == nil || rs.Server == nil {
 		return false
 	}
 	roster := rs.Server.RosterFor(cfg.ClientIDs)

@@ -32,10 +32,11 @@ func (s *Server) RunStages(c engine.Carrier, resume bool, divergent []uint64) ([
 	// sender over whatever the message claims, so one client cannot spoof
 	// another's advertisement, upload, or share under the wrong rank.
 	var roster []AdvertiseMsg
-	if resume {
-		if roster = s.session.RosterFor(ids); roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster for this client set")
-		}
+	if resume && s.session != nil {
+		roster = s.session.RosterFor(ids)
+	}
+	if resume && roster == nil {
+		return nil, fmt.Errorf("lightsecagg: resume without a cached roster for this client set")
 	}
 	if resume && len(divergent) == 0 {
 		if err := s.InstallRoster(roster); err != nil {
@@ -62,7 +63,9 @@ func (s *Server) RunStages(c engine.Carrier, resume bool, divergent []uint64) ([
 		if roster, err = s.SealAdvertise(); err != nil {
 			return nil, err
 		}
-		s.session.StoreRoster(roster, ids)
+		if s.session != nil {
+			s.session.StoreRoster(roster, ids...)
+		}
 	}
 	if err := c.Send(int(StageShares), ids, roster); err != nil {
 		return nil, err

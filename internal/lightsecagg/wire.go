@@ -138,17 +138,6 @@ var wireStages = []engine.WireStage{
 		EncodeDown: gobEncode, DecodeDown: gobDecode[[]uint64]},
 }
 
-// fullResumeServer is the wire carrier of a fully resumed round: it sends
-// no roster, since every client reads it from its own session.
-type fullResumeServer struct{ *engine.WireServer }
-
-func (w fullResumeServer) Send(stage int, to []uint64, body any) error {
-	if stage == int(StageShares) {
-		return nil
-	}
-	return w.WireServer.Send(stage, to, body)
-}
-
 // RunWireServer drives the server side of one LightSecAgg round through
 // the shared round engine.
 func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) ([]field.Element, error) {
@@ -167,11 +156,8 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	}
 	roundCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ws := engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages)
-	var w engine.Carrier = ws
-	if cfg.Resume && len(cfg.Divergent) == 0 {
-		w = fullResumeServer{ws}
-	}
+	w := engine.NewWireServer(roundCtx, cfg.Engine, conn, cfg.StageDeadline, wireStages)
+	w.FullResume = cfg.Resume && len(cfg.Divergent) == 0
 	sum, err := server.RunStages(w, cfg.Resume, cfg.Divergent)
 	if err != nil {
 		return nil, err
@@ -208,33 +194,6 @@ type WireClientConfig struct {
 	Divergent []uint64
 }
 
-// wireClient adds session rosters to the wire carrier: on a full resume
-// the roster comes from the client's session, otherwise the one received
-// is stored in it.
-type wireClient struct {
-	*engine.WireClient
-	session    *Session
-	fullResume bool
-}
-
-func (w *wireClient) Recv(stage int) (any, error) {
-	if stage != int(StageShares) {
-		return w.WireClient.Recv(stage)
-	}
-	if w.fullResume {
-		roster := w.session.Roster()
-		if roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster")
-		}
-		return roster, nil
-	}
-	body, err := w.WireClient.Recv(stage)
-	if err == nil && w.session != nil {
-		w.session.StoreRoster(body.([]AdvertiseMsg))
-	}
-	return body, err
-}
-
 // RunWireClient drives one client through the round. It returns the
 // aggregate (nil when the client drops or is excluded from the result
 // broadcast).
@@ -252,8 +211,12 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	// A re-keyed client advertises; a resumed one takes its cached roster
 	// (full resume) or the merged roster broadcast (partial resume). A
 	// divergent member of a partial resume advertises fresh.
-	w := &wireClient{WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
-		session: cfg.Session, fullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	w := &engine.SessionClient[AdvertiseMsg]{
+		WireClient: engine.NewWireClient(ctx, conn, wireStages, wireResult),
+		FullResume: cfg.Resume && len(cfg.Divergent) == 0}
+	if cfg.Session != nil {
+		w.Session = &cfg.Session.Continuity
+	}
 	advertise := !cfg.Resume || slices.Contains(cfg.Divergent, cfg.ID)
 	dropped, err := client.RunStages(w, cfg.Input, advertise, cfg.DropBefore.stage())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/shamir"
+	"repro/internal/transcript"
 )
 
 // AdvertiseMsg is the stage-0 client message: the two ephemeral public
@@ -14,6 +15,14 @@ type AdvertiseMsg struct {
 	CipherPub []byte // c^PK: channel-encryption key agreement
 	MaskPub   []byte // s^PK: pairwise-mask key agreement
 	Signature []byte // SIG.sign(d^SK, c^PK ∥ s^PK); empty when semi-honest
+}
+
+// RosterEntry is the member's transcript roster leaf: (id, cipher pub,
+// mask pub). The signature is excluded: it authenticates the
+// advertisement but does not change the key material a resumed round
+// derives from.
+func (m AdvertiseMsg) RosterEntry() transcript.RosterEntry {
+	return transcript.RosterEntry{ID: m.From, CipherPub: m.CipherPub, MaskPub: m.MaskPub}
 }
 
 // advertisePayload is the byte string the stage-0 signature covers.

@@ -110,41 +110,81 @@ func decodeSecretSection(src []byte) (map[string]ratchetedSecret, []byte, error)
 	return out, src, nil
 }
 
+// appendPersistRoster writes a roster section: a 4-byte member count,
+// then each member's id and its cipher pub, mask pub and signature blobs.
+func appendPersistRoster(dst []byte, roster []AdvertiseMsg) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(roster)))
+	for _, m := range roster {
+		dst = binary.LittleEndian.AppendUint64(dst, m.From)
+		dst = transport.AppendBlob(dst, m.CipherPub)
+		dst = transport.AppendBlob(dst, m.MaskPub)
+		dst = transport.AppendBlob(dst, m.Signature)
+	}
+	return dst
+}
+
+// decodePersistRoster reads a roster section; an empty one decodes as nil.
+func decodePersistRoster(src []byte) ([]AdvertiseMsg, []byte, error) {
+	if len(src) < 4 {
+		return nil, nil, fmt.Errorf("secagg: persisted roster header truncated")
+	}
+	n := int(binary.LittleEndian.Uint32(src))
+	src = src[4:]
+	if n > maxPersistEntries {
+		return nil, nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds cap", n)
+	}
+	if n == 0 {
+		return nil, src, nil
+	}
+	// Minimum entry size: id plus three empty blobs.
+	if n > len(src)/(8+3*2) {
+		return nil, nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds payload", n)
+	}
+	roster := make([]AdvertiseMsg, 0, n)
+	var err error
+	for i := 0; i < n; i++ {
+		if len(src) < 8 {
+			return nil, nil, fmt.Errorf("secagg: persisted roster entry %d truncated", i)
+		}
+		m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
+		src = src[8:]
+		if m.CipherPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
+			return nil, nil, err
+		}
+		if m.MaskPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
+			return nil, nil, err
+		}
+		if m.Signature, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
+			return nil, nil, err
+		}
+		roster = append(roster, m)
+	}
+	return roster, src, nil
+}
+
 // MarshalBinary serializes the session (see the package-level layout note
 // above). The output holds raw private keys: wrap it with
 // sessionstore.Store before it touches disk.
 func (s *Session) MarshalBinary() ([]byte, error) {
+	roster, _, next := s.Snapshot()
+	if len(roster) > maxPersistEntries {
+		return nil, fmt.Errorf("secagg: roster of %d entries exceeds persist cap", len(roster))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: roster of %d entries exceeds persist cap", len(s.roster))
-	}
 	out := []byte{persistMagic, persistTag, persistVersion}
 	cpriv := s.cipherKey.PrivateBytes()
 	mpriv := s.maskKey.PrivateBytes()
 	out = append(out, cpriv[:]...)
 	out = append(out, mpriv[:]...)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRatchet)
-	out = append(out, b[:]...)
+	out = binary.LittleEndian.AppendUint64(out, next)
 	var flags byte
 	if s.taint {
 		flags |= 1
 	}
 	out = append(out, flags)
-	binary.LittleEndian.PutUint64(b[:], s.noiseEpoch)
-	out = append(out, b[:]...)
-
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
-	out = append(out, cnt[:]...)
-	for _, m := range s.roster {
-		binary.LittleEndian.PutUint64(b[:], m.From)
-		out = append(out, b[:]...)
-		out = transport.AppendBlob(out, m.CipherPub)
-		out = transport.AppendBlob(out, m.MaskPub)
-		out = transport.AppendBlob(out, m.Signature)
-	}
+	out = binary.LittleEndian.AppendUint64(out, s.noiseEpoch)
+	out = appendPersistRoster(out, roster)
 	var err error
 	if out, err = appendSecretSection(out, s.mask); err != nil {
 		return nil, err
@@ -181,7 +221,7 @@ func UnmarshalSession(p []byte) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{cipherKey: cipherKey, maskKey: maskKey}
-	s.nextRatchet = binary.LittleEndian.Uint64(src)
+	next := binary.LittleEndian.Uint64(src)
 	s.taint = src[8]&1 != 0
 	src = src[9:]
 	if version >= 2 {
@@ -192,39 +232,11 @@ func UnmarshalSession(p []byte) (*Session, error) {
 		s.noiseEpoch = binary.LittleEndian.Uint64(src)
 		src = src[8:]
 	}
-
-	if len(src) < 4 {
-		return nil, fmt.Errorf("secagg: persisted roster header truncated")
+	roster, src, err := decodePersistRoster(src)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds cap", n)
-	}
-	if n > 0 {
-		// Minimum entry size: id plus three empty blobs.
-		if n > len(src)/(8+3*2) {
-			return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds payload", n)
-		}
-		s.roster = make([]AdvertiseMsg, 0, n)
-		for i := 0; i < n; i++ {
-			if len(src) < 8 {
-				return nil, fmt.Errorf("secagg: persisted roster entry %d truncated", i)
-			}
-			m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
-			src = src[8:]
-			if m.CipherPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.MaskPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.Signature, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			s.roster = append(s.roster, m)
-		}
-	}
+	s.Restore(roster, nil, next)
 	if s.mask, src, err = decodeSecretSection(src); err != nil {
 		return nil, err
 	}

@@ -44,38 +44,25 @@ const (
 // layout note above; reconstructed keys and pairwise secrets are
 // deliberately excluded).
 func (s *ServerSession) MarshalBinary() ([]byte, error) {
+	roster, rosterIDs, next := s.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries || len(s.rosterIDs) > maxPersistEntries ||
+	if len(roster) > maxPersistEntries || len(rosterIDs) > maxPersistEntries ||
 		len(s.tainted) > maxPersistEntries {
 		return nil, fmt.Errorf("secagg: server session exceeds persist caps")
 	}
 	out := []byte{persistMagic, persistServerTag, persistServerVersion}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRatchet)
-	out = append(out, b[:]...)
-
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
-	out = append(out, cnt[:]...)
-	for _, m := range s.roster {
-		binary.LittleEndian.PutUint64(b[:], m.From)
-		out = append(out, b[:]...)
-		out = transport.AppendBlob(out, m.CipherPub)
-		out = transport.AppendBlob(out, m.MaskPub)
-		out = transport.AppendBlob(out, m.Signature)
-	}
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.rosterIDs)))
-	out = append(out, cnt[:]...)
-	out = transport.AppendUint64sLE(out, s.rosterIDs)
+	out = binary.LittleEndian.AppendUint64(out, next)
+	out = appendPersistRoster(out, roster)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rosterIDs)))
+	out = transport.AppendUint64sLE(out, rosterIDs)
 
 	tainted := make([]uint64, 0, len(s.tainted))
 	for id := range s.tainted {
 		tainted = append(tainted, id)
 	}
 	sort.Slice(tainted, func(i, j int) bool { return tainted[i] < tainted[j] }) // deterministic encoding
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(tainted)))
-	out = append(out, cnt[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(tainted)))
 	return transport.AppendUint64sLE(out, tainted), nil
 }
 
@@ -111,42 +98,16 @@ func UnmarshalServerSession(p []byte) (*ServerSession, error) {
 		return nil, fmt.Errorf("secagg: persisted server session truncated")
 	}
 	s := NewServerSession()
-	s.nextRatchet = binary.LittleEndian.Uint64(src)
-	src = src[8:]
-
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds cap", n)
-	}
-	if n > 0 {
-		if n > len(src)/(8+3*2) {
-			return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds payload", n)
-		}
-		s.roster = make([]AdvertiseMsg, 0, n)
-		var err error
-		for i := 0; i < n; i++ {
-			if len(src) < 8 {
-				return nil, fmt.Errorf("secagg: persisted roster entry %d truncated", i)
-			}
-			m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
-			src = src[8:]
-			if m.CipherPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.MaskPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.Signature, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			s.roster = append(s.roster, m)
-		}
-	}
-	var err error
-	if s.rosterIDs, src, err = decodePersistSlab(src, "roster id set"); err != nil {
+	next := binary.LittleEndian.Uint64(src)
+	roster, src, err := decodePersistRoster(src[8:])
+	if err != nil {
 		return nil, err
 	}
+	var rosterIDs []uint64
+	if rosterIDs, src, err = decodePersistSlab(src, "roster id set"); err != nil {
+		return nil, err
+	}
+	s.Restore(roster, rosterIDs, next)
 	var tainted []uint64
 	if tainted, src, err = decodePersistSlab(src, "taint set"); err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ func testServerSession() *ServerSession {
 		{From: 2, CipherPub: []byte{7}, MaskPub: []byte{8, 9, 10}, Signature: []byte{11, 12}},
 		{From: 5, CipherPub: []byte{13}, MaskPub: []byte{14}, Signature: []byte{15}},
 	}
-	s.StoreRoster(roster, []uint64{1, 2, 5})
+	s.StoreRoster(roster, 1, 2, 5)
 	s.MarkTainted(5, 2)
 	s.MarkRatchetUsed(41)
 	return s
@@ -32,8 +32,8 @@ func TestServerSessionPersistRoundTrip(t *testing.T) {
 	if got, want := out.NextRatchet(), in.NextRatchet(); got != want {
 		t.Fatalf("restored ratchet mark = %d, want %d", got, want)
 	}
-	if got := out.RosterFor([]uint64{1, 2, 5}); !reflect.DeepEqual(got, in.roster) {
-		t.Fatalf("restored roster = %+v, want %+v", got, in.roster)
+	if got := out.RosterFor([]uint64{1, 2, 5}); !reflect.DeepEqual(got, in.Roster()) {
+		t.Fatalf("restored roster = %+v, want %+v", got, in.Roster())
 	}
 	if _, ok := out.StateHashFor([]uint64{1, 2, 5}); !ok {
 		t.Fatal("restored session cannot answer its own roster hash")

@@ -5,13 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/prg"
-	"repro/internal/transcript"
 )
 
 // Key-agreement amortization (the "agree once, fork per-chunk streams"
@@ -80,28 +79,26 @@ func (r ratchetedSecret) advanceTo(step uint64) ratchetedSecret {
 // session. Safe for concurrent use — mask expansion fans agreements across
 // a worker pool.
 type Session struct {
+	// The cached stage-0 roster (advertise skip) and the derivation-point
+	// high-water mark: the lowest KeyRatchet step this key generation has
+	// not served yet. Resuming at an earlier step would repeat pairwise
+	// mask streams, so the handshake refuses offers below it.
+	engine.Continuity[AdvertiseMsg]
+
 	cipherKey *dh.KeyPair // c^PK / c^SK
 	maskKey   *dh.KeyPair // s^PK / s^SK
 
 	mu      sync.Mutex
 	mask    map[string]ratchetedSecret // peer mask pub → secret
 	channel map[string]ratchetedSecret // peer cipher pub → channel key
-	roster  []AdvertiseMsg             // cached stage-0 roster (advertise skip)
 
-	// Cross-round continuity state, driven by the re-key handshake
-	// (core.RunHandshakeClient) and persisted with the session:
-	//
-	//   - taint marks a round in flight or abandoned: set when the client
-	//     commits to a round, cleared only on clean completion. A client
-	//     that vanished mid-round may have had its mask key reconstructed
-	//     by the server, so a tainted session must never resume — the next
-	//     handshake reports the taint and forces a re-key.
-	//   - nextRatchet is the derivation-point high-water mark: the lowest
-	//     KeyRatchet step this key generation has not served yet. Resuming
-	//     at an earlier step would repeat pairwise mask streams, so the
-	//     handshake refuses offers below it.
-	taint       bool
-	nextRatchet uint64
+	// taint marks a round in flight or abandoned, driven by the re-key
+	// handshake (core.RunHandshakeClient) and persisted with the session:
+	// set when the client commits to a round, cleared only on clean
+	// completion. A client that vanished mid-round may have had its mask
+	// key reconstructed by the server, so a tainted session must never
+	// resume — the next handshake reports the taint and forces a re-key.
+	taint bool
 	// noiseEpoch is the noise draw-sequence version (Config.NoiseEpoch)
 	// the session last committed to in a handshake. Persisted so a
 	// restored client resumes under the sampler it negotiated rather
@@ -189,61 +186,6 @@ func (s *Session) channelSecret(peerPub []byte, step uint64) ([aead.KeySize]byte
 	return s.secretFrom(cipherKey, s.channel, peerPub, step)
 }
 
-// StoreRoster caches a verified stage-0 roster so a later round on the
-// same session can skip the advertise stage. The driver is responsible for
-// only storing rosters it obtained through a completed advertise stage.
-func (s *Session) StoreRoster(roster []AdvertiseMsg) {
-	cp := append([]AdvertiseMsg(nil), roster...)
-	s.mu.Lock()
-	s.roster = cp
-	s.mu.Unlock()
-}
-
-// Roster returns the cached stage-0 roster, or nil when none is stored.
-func (s *Session) Roster() []AdvertiseMsg {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roster
-}
-
-// RosterEntries converts a sealed stage-0 roster into the transcript
-// layer's leaf form: every member's (id, cipher pub, mask pub).
-// Signatures are excluded: they authenticate the advertisement but do not
-// change the key material a resumed round derives from.
-func RosterEntries(roster []AdvertiseMsg) []transcript.RosterEntry {
-	out := make([]transcript.RosterEntry, len(roster))
-	for i, m := range roster {
-		out[i] = transcript.RosterEntry{ID: m.From, CipherPub: m.CipherPub, MaskPub: m.MaskPub}
-	}
-	return out
-}
-
-// RosterHash returns the canonical digest of a sealed stage-0 roster: the
-// Merkle root of the transcript layer's roster subtree
-// (transcript.RosterRoot), one leaf per member's (id, cipher pub, mask
-// pub) in roster order. Server and clients cache the identical broadcast
-// roster, so equal hashes mean both sides hold the same key generation
-// for the same client set — the shared-state check of the re-key
-// handshake. Because the handshake pins this exact root, a round
-// transcript's roster commitment is the same value the client already
-// agreed to at offer time, and an inclusion proof for the client's own
-// advertise keys verifies against it (see internal/transcript).
-func RosterHash(roster []AdvertiseMsg) [32]byte {
-	return transcript.RosterRoot(RosterEntries(roster))
-}
-
-// StateHash returns the digest of the roster this session could resume on,
-// with ok=false when no completed advertise stage was cached. It is the
-// client's half of the handshake's shared-state check.
-func (s *Session) StateHash() ([32]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil {
-		return [32]byte{}, false
-	}
-	return RosterHash(s.roster), true
-}
-
 // Taint marks a round in flight on this session: until ClearTaint, the
 // session must not resume (the server may have reconstructed the mask key
 // of a client that vanished mid-round). Drivers taint when they commit to
@@ -267,26 +209,6 @@ func (s *Session) Tainted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.taint
-}
-
-// NextRatchet returns the lowest KeyRatchet step this key generation has
-// not served yet.
-func (s *Session) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRatchet
-}
-
-// MarkRatchetUsed burns the derivation point at step: the session will
-// refuse to resume at or below it. Burning happens at handshake commit
-// time, before the round runs, so an aborted round still consumes its
-// step — reusing it would repeat every pairwise mask stream.
-func (s *Session) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRatchet {
-		s.nextRatchet = step + 1
-	}
-	s.mu.Unlock()
 }
 
 // NoiseEpoch returns the noise draw-sequence version the session last
@@ -323,16 +245,11 @@ func (s *Session) Rekey(rand io.Reader) error {
 	// Clear the caches in place: the map headers are shared with concurrent
 	// cachedAgreement callers (which lock mu per access), so swapping them
 	// would race on the field reads.
-	for k := range s.mask {
-		delete(s.mask, k)
-	}
-	for k := range s.channel {
-		delete(s.channel, k)
-	}
-	s.roster = nil
+	clear(s.mask)
+	clear(s.channel)
 	s.taint = false
-	s.nextRatchet = 0
 	s.mu.Unlock()
+	s.Reset()
 	return nil
 }
 
@@ -345,23 +262,12 @@ func (s *Session) Rekey(rand io.Reader) error {
 // secrets and skips advertise. Taint and the ratchet position are left to
 // the handshake, which manages them around this call.
 func (s *Session) RekeyEdges(ids []uint64) {
-	if len(ids) == 0 {
-		return
-	}
-	drop := toSet(ids)
+	dropped := s.DropMembers(ids)
 	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if _, div := drop[m.From]; div {
-			delete(s.mask, string(m.MaskPub))
-			delete(s.channel, string(m.CipherPub))
-			continue
-		}
-		kept = append(kept, m)
+	for _, m := range dropped {
+		delete(s.mask, string(m.MaskPub))
+		delete(s.channel, string(m.CipherPub))
 	}
-	// Fresh slice, not in-place: Roster() hands out the cached slice and a
-	// concurrent holder must keep seeing the roster it was given.
-	s.roster = kept
 	s.mu.Unlock()
 }
 
@@ -371,20 +277,21 @@ func (s *Session) RekeyEdges(ids []uint64) {
 // share the session, plus the stage-0 roster for advertise skipping. Safe
 // for concurrent use.
 type ServerSession struct {
-	mu        sync.Mutex
-	keys      map[string]*dh.KeyPair     // advertised mask pub → verified key
-	secrets   map[string]ratchetedSecret // canonical pub pair → secret
-	roster    []AdvertiseMsg
-	rosterIDs []uint64 // the ClientIDs the roster was sealed for
+	// The sealed stage-0 roster with the client set it was sealed for, and
+	// the server's derivation-point high-water mark, mirroring the
+	// clients'.
+	engine.Continuity[AdvertiseMsg]
 
-	// Cross-round continuity state (see Session): tainted collects the
-	// clients whose mask keys this server reconstructed — or may have —
-	// during the rounds sharing the session. Any taint forces the next
-	// handshake to re-key: a reconstructed key would let the server derive
-	// that client's future pairwise masks. nextRatchet is the server's
-	// derivation-point high-water mark, mirroring the clients'.
-	tainted     map[uint64]bool
-	nextRatchet uint64
+	mu      sync.Mutex
+	keys    map[string]*dh.KeyPair     // advertised mask pub → verified key
+	secrets map[string]ratchetedSecret // canonical pub pair → secret
+
+	// tainted collects the clients whose mask keys this server
+	// reconstructed — or may have — during the rounds sharing the session.
+	// Any taint forces the next handshake to re-key their edges: a
+	// reconstructed key would let the server derive that client's future
+	// pairwise masks.
+	tainted map[uint64]bool
 }
 
 // NewServerSession returns an empty server session.
@@ -434,69 +341,6 @@ func (s *ServerSession) pairSecret(kp *dh.KeyPair, peerPub []byte, step uint64) 
 		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) })
 }
 
-// StoreRoster caches the sealed stage-0 roster together with the client
-// set it was sealed for.
-func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
-	r := append([]AdvertiseMsg(nil), roster...)
-	ids := append([]uint64(nil), clientIDs...)
-	s.mu.Lock()
-	s.roster, s.rosterIDs = r, ids
-	s.mu.Unlock()
-}
-
-// RosterFor returns the cached roster if it was sealed for exactly the
-// given client set, else nil. nil-receiver safe.
-func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
-		return nil
-	}
-	return s.roster
-}
-
-// StateHashFor returns the digest of the roster this session could resume
-// a round over clientIDs on, with ok=false when none is cached for that
-// client set. The roster need not cover every client: members it misses
-// (dead or unheard at the sealing advertise stage) are reported by
-// MissingMembers and folded into the handshake's divergent subset — they
-// re-advertise under a partial resume instead of forcing a full re-key of
-// every cached edge, and instead of being silently excluded forever.
-func (s *ServerSession) StateHashFor(clientIDs []uint64) ([32]byte, bool) {
-	roster := s.RosterFor(clientIDs)
-	if len(roster) == 0 {
-		return [32]byte{}, false
-	}
-	return RosterHash(roster), true
-}
-
-// MissingMembers returns the subset of clientIDs the cached roster (for
-// exactly that client set) does not cover. These members hold no advertised
-// keys in the current generation, so a resumed round must treat them as
-// divergent: they re-advertise and their edges agree fresh. Returns nil
-// when no roster is cached at all (a full re-key applies then anyway).
-// nil-receiver safe.
-func (s *ServerSession) MissingMembers(clientIDs []uint64) []uint64 {
-	roster := s.RosterFor(clientIDs)
-	if roster == nil {
-		return nil
-	}
-	have := make(map[uint64]bool, len(roster))
-	for _, m := range roster {
-		have[m.From] = true
-	}
-	var out []uint64
-	for _, id := range clientIDs {
-		if !have[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // MarkTainted records clients whose sessions must not survive into another
 // round on this key generation: the server reconstructed — or, for a
 // scheduled dropper, may reconstruct — their mask keys. nil-receiver safe.
@@ -539,24 +383,6 @@ func (s *ServerSession) TaintedMembers() []uint64 {
 	return sortedIDs(s.tainted)
 }
 
-// NextRatchet returns the lowest KeyRatchet step this key generation has
-// not served yet.
-func (s *ServerSession) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRatchet
-}
-
-// MarkRatchetUsed burns the derivation point at step (see
-// Session.MarkRatchetUsed).
-func (s *ServerSession) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRatchet {
-		s.nextRatchet = step + 1
-	}
-	s.mu.Unlock()
-}
-
 // RekeyEdges drops the cached state touching the given divergent members —
 // their roster entries, any reconstructed key pairs, every pairwise secret
 // with one end at a divergent member, and their taint marks — while keeping
@@ -568,20 +394,13 @@ func (s *ServerSession) RekeyEdges(ids []uint64) {
 	if s == nil || len(ids) == 0 {
 		return
 	}
-	drop := toSet(ids)
+	dropped := s.DropMembers(ids)
 	s.mu.Lock()
-	dropPubs := make(map[string]bool, len(ids))
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if _, div := drop[m.From]; div {
-			dropPubs[string(m.MaskPub)] = true
-			delete(s.keys, string(m.MaskPub))
-			continue
-		}
-		kept = append(kept, m)
+	dropPubs := make(map[string]bool, len(dropped))
+	for _, m := range dropped {
+		dropPubs[string(m.MaskPub)] = true
+		delete(s.keys, string(m.MaskPub))
 	}
-	// Fresh slice for the same aliasing reason as Session.RekeyEdges.
-	s.roster = kept
 	for k := range s.secrets {
 		// pairKey concatenates two mask public keys; drop the pair when
 		// either half belongs to a divergent member.
@@ -600,16 +419,11 @@ func (s *ServerSession) RekeyEdges(ids []uint64) {
 // position: the next round collects a fresh advertise stage from scratch.
 func (s *ServerSession) Rekey() {
 	s.mu.Lock()
-	for k := range s.keys {
-		delete(s.keys, k)
-	}
-	for k := range s.secrets {
-		delete(s.secrets, k)
-	}
-	s.roster, s.rosterIDs = nil, nil
+	clear(s.keys)
+	clear(s.secrets)
 	s.tainted = nil
-	s.nextRatchet = 0
 	s.mu.Unlock()
+	s.Reset()
 }
 
 // RoundSessions bundles the per-participant sessions a driver shares
@@ -672,7 +486,7 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 // instead of being silently excluded forever), and every member has a
 // live client session whose advertised keys match the cached entry.
 func (rs *RoundSessions) resumable(cfg *Config, drops DropSchedule) bool {
-	if rs == nil {
+	if rs == nil || rs.Server == nil {
 		return false
 	}
 	roster := rs.Server.RosterFor(cfg.ClientIDs)

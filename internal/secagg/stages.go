@@ -32,10 +32,11 @@ func (s *Server) RunStages(c engine.Carrier, resume bool, divergent []uint64) (R
 
 	// Stage 0: AdvertiseKeys.
 	var roster []AdvertiseMsg
-	if resume {
-		if roster = s.session.RosterFor(ids); roster == nil {
-			return Result{}, fmt.Errorf("secagg: resume without a cached roster for this client set")
-		}
+	if resume && s.session != nil {
+		roster = s.session.RosterFor(ids)
+	}
+	if resume && roster == nil {
+		return Result{}, fmt.Errorf("secagg: resume without a cached roster for this client set")
 	}
 	if resume && len(divergent) == 0 {
 		if err := s.InstallRoster(roster); err != nil {
@@ -61,7 +62,7 @@ func (s *Server) RunStages(c engine.Carrier, resume bool, divergent []uint64) (R
 			return Result{}, err
 		}
 		if s.session != nil {
-			s.session.StoreRoster(roster, ids)
+			s.session.StoreRoster(roster, ids...)
 		}
 	}
 	if err := send(StageShareKeys, s.u1, roster); err != nil {
