@@ -18,9 +18,21 @@ import (
 // transport, driven either by the streaming engine (RunWireServer) or by
 // the barriered reference driver below, which reproduces the pre-engine
 // collection shape — buffer a whole stage's frames, then decode them all,
-// then feed the batch Collect* call — so the overlap win stays measurable
+// then feed the whole batch to the stage's Add* calls and seal it — so the overlap win stays measurable
 // in one run on any machine (the convention BENCH_SECAGG_HOTPATH.json
 // documents).
+
+// sealAll runs one server stage as a batch: it feeds every message to
+// the stage's incremental add, then seals the stage.
+func sealAll[M, R any](msgs []M, add func(M) error, seal func() (R, error)) (R, error) {
+	for _, m := range msgs {
+		if err := add(m); err != nil {
+			var zero R
+			return zero, err
+		}
+	}
+	return seal()
+}
 
 // runBarrieredWireServer is the barriered reference: stage frames are
 // fully collected before the first decode, and the masked-input stage
@@ -63,7 +75,7 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 		}
 		adverts = append(adverts, m)
 	}
-	roster, err := server.CollectAdvertise(adverts)
+	roster, err := sealAll(adverts, server.AddAdvertise, server.SealAdvertise)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +97,12 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 		}
 		perSender[id] = cts
 	}
-	deliveries, err := server.CollectShares(perSender)
+	for id, cts := range perSender {
+		if err := server.AddShare(id, cts); err != nil {
+			return nil, err
+		}
+	}
+	deliveries, err := server.SealShares()
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +124,7 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 		}
 		maskedMsgs = append(maskedMsgs, m)
 	}
-	u3, err := server.CollectMasked(maskedMsgs)
+	u3, err := sealAll(maskedMsgs, server.AddMasked, server.SealMasked)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +142,7 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 		}
 		consMsgs = append(consMsgs, m)
 	}
-	unmaskReq, err := server.CollectConsistency(consMsgs)
+	unmaskReq, err := sealAll(consMsgs, server.AddConsistency, server.SealConsistency)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +160,7 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 		}
 		unmaskMsgs = append(unmaskMsgs, m)
 	}
-	noiseReq, err := server.CollectUnmask(unmaskMsgs)
+	noiseReq, err := sealAll(unmaskMsgs, server.AddUnmask, server.SealUnmask)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +178,12 @@ func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn tran
 			}
 			noiseMsgs = append(noiseMsgs, m)
 		}
-		if err := server.CollectNoiseShares(noiseMsgs); err != nil {
+		for _, m := range noiseMsgs {
+			if err := server.AddNoiseShare(m); err != nil {
+				return nil, err
+			}
+		}
+		if err := server.SealNoiseShares(); err != nil {
 			return nil, err
 		}
 	}

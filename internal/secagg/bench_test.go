@@ -128,7 +128,7 @@ func benchMaskedStageTail(b *testing.B, dim int, streamed bool) {
 				b.Fatal(err)
 			}
 		} else {
-			if _, err := s.CollectMasked(msgs); err != nil {
+			if _, err := sealAll(msgs, s.AddMasked, s.SealMasked); err != nil {
 				b.Fatal(err)
 			}
 		}

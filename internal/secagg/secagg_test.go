@@ -41,6 +41,29 @@ func mkInputs(cfg Config) map[uint64]ring.Vector {
 	return out
 }
 
+// sealAll runs one server stage as a batch: it feeds every message to
+// the stage's incremental add, then seals the stage.
+func sealAll[M, R any](msgs []M, add func(M) error, seal func() (R, error)) (R, error) {
+	for _, m := range msgs {
+		if err := add(m); err != nil {
+			var zero R
+			return zero, err
+		}
+	}
+	return seal()
+}
+
+// sealShares runs the share stage as a batch (AddShare per sender, then
+// SealShares).
+func sealShares(s *Server, perSender map[uint64][]EncryptedShareMsg) (map[uint64][]EncryptedShareMsg, error) {
+	for from, cts := range perSender {
+		if err := s.AddShare(from, cts); err != nil {
+			return nil, err
+		}
+	}
+	return s.SealShares()
+}
+
 // expectedSum returns the ring sum of the inputs of the given survivors.
 func expectedSum(cfg Config, inputs map[uint64]ring.Vector, survivors []uint64) ring.Vector {
 	acc := ring.NewVector(cfg.Bits, cfg.Dim)
@@ -340,7 +363,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		adverts = append(adverts, m)
 	}
-	roster, err := server.CollectAdvertise(adverts)
+	roster, err := sealAll(adverts, server.AddAdvertise, server.SealAdvertise)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +375,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		perSender[id] = cts
 	}
-	deliveries, err := server.CollectShares(perSender)
+	deliveries, err := sealShares(server, perSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +391,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		maskedMsgs = append(maskedMsgs, m)
 	}
-	u3, err := server.CollectMasked(maskedMsgs)
+	u3, err := sealAll(maskedMsgs, server.AddMasked, server.SealMasked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,13 +434,13 @@ func TestClientRejectsShrunkU3(t *testing.T) {
 		m, _ := c.AdvertiseKeys()
 		adverts = append(adverts, m)
 	}
-	roster, _ := server.CollectAdvertise(adverts)
+	roster, _ := sealAll(adverts, server.AddAdvertise, server.SealAdvertise)
 	perSender := make(map[uint64][]EncryptedShareMsg)
 	for _, id := range cfg.ClientIDs {
 		cts, _ := clients[id].ShareKeys(roster)
 		perSender[id] = cts
 	}
-	deliveries, _ := server.CollectShares(perSender)
+	deliveries, _ := sealShares(server, perSender)
 	var maskedMsgs []MaskedInputMsg
 	for id, cts := range deliveries {
 		m, err := clients[id].MaskedInput(cts)
@@ -426,7 +449,7 @@ func TestClientRejectsShrunkU3(t *testing.T) {
 		}
 		maskedMsgs = append(maskedMsgs, m)
 	}
-	u3, _ := server.CollectMasked(maskedMsgs)
+	u3, _ := sealAll(maskedMsgs, server.AddMasked, server.SealMasked)
 	if _, err := clients[1].ConsistencyCheck(u3); err != nil {
 		t.Fatal(err)
 	}

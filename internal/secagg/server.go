@@ -155,18 +155,6 @@ func (s *Server) SealAdvertise() ([]AdvertiseMsg, error) {
 	return out, nil
 }
 
-// CollectAdvertise ingests stage-0 messages and returns the roster
-// broadcast for stage 1 (batch wrapper over AddAdvertise/SealAdvertise).
-func (s *Server) CollectAdvertise(msgs []AdvertiseMsg) ([]AdvertiseMsg, error) {
-	s.roster = make(map[uint64]AdvertiseMsg, len(msgs))
-	for _, m := range msgs {
-		if err := s.AddAdvertise(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealAdvertise()
-}
-
 // AddShare ingests one sender's stage-1 ciphertext list on arrival,
 // routing each ciphertext to its recipient's outbox.
 func (s *Server) AddShare(sender uint64, cts []EncryptedShareMsg) error {
@@ -209,20 +197,6 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 		deliver[recipient] = list
 	}
 	return deliver, nil
-}
-
-// CollectShares ingests stage-1 ciphertext lists (one list per sender) and
-// routes each ciphertext to its recipient's outbox. The senders form U2.
-func (s *Server) CollectShares(perSender map[uint64][]EncryptedShareMsg) (map[uint64][]EncryptedShareMsg, error) {
-	if len(perSender) < s.cfg.Threshold {
-		return nil, fmt.Errorf("secagg: |U2|=%d < t=%d, aborting", len(perSender), s.cfg.Threshold)
-	}
-	for sender, cts := range perSender {
-		if err := s.AddShare(sender, cts); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealShares()
 }
 
 // AddMasked ingests one stage-2 masked input on arrival, folding it into
@@ -303,18 +277,6 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	return append([]uint64(nil), s.u3...), nil
 }
 
-// CollectMasked ingests stage-2 masked inputs; the senders form U3 (batch
-// wrapper over AddMasked/SealMasked, inheriting AddMasked's ownership of
-// each message's Y).
-func (s *Server) CollectMasked(msgs []MaskedInputMsg) ([]uint64, error) {
-	for _, m := range msgs {
-		if err := s.AddMasked(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealMasked()
-}
-
 // AddConsistency ingests one stage-3 signature on arrival.
 func (s *Server) AddConsistency(m ConsistencyMsg) error {
 	if s.sigs == nil {
@@ -349,18 +311,6 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 		}
 	}
 	return req, nil
-}
-
-// CollectConsistency ingests stage-3 signatures (malicious mode) and
-// returns the stage-4 unmask request. In semi-honest mode, call it with
-// one ConsistencyMsg per live client carrying no signature.
-func (s *Server) CollectConsistency(msgs []ConsistencyMsg) (UnmaskRequest, error) {
-	for _, m := range msgs {
-		if err := s.AddConsistency(m); err != nil {
-			return UnmaskRequest{}, err
-		}
-	}
-	return s.SealConsistency()
 }
 
 // AddUnmask ingests one stage-4 response on arrival, indexing its share
@@ -470,18 +420,6 @@ func (s *Server) SealUnmask() (*NoiseShareRequest, error) {
 		return nil, nil
 	}
 	return &NoiseShareRequest{U5: append([]uint64(nil), s.u5...)}, nil
-}
-
-// CollectUnmask ingests stage-4 responses (the senders form U5), unmasks
-// the aggregate, and returns the stage-5 request (XNoise) or nil when no
-// stage 5 is needed (batch wrapper over AddUnmask/SealUnmask).
-func (s *Server) CollectUnmask(msgs []UnmaskMsg) (*NoiseShareRequest, error) {
-	for _, m := range msgs {
-		if err := s.AddUnmask(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealUnmask()
 }
 
 // unmask computes z = Σ_{u∈U3} y_u − Σ_{u∈U3} p_u + Σ_{u∈U3, v∈U2\U3} p_{v,u}.
@@ -674,52 +612,14 @@ func (s *Server) SealNoiseShares() error {
 	return nil
 }
 
-// CollectNoiseShares ingests stage-5 responses and reconstructs the
-// removable seeds of clients in U3\U5 (batch wrapper over
-// AddNoiseShare/SealNoiseShares).
-func (s *Server) CollectNoiseShares(msgs []NoiseShareMsg) error {
-	if s.cfg.XNoise == nil {
-		return nil
-	}
-	if len(msgs) < s.cfg.Threshold {
-		return fmt.Errorf("secagg: |U6|=%d < t=%d, aborting", len(msgs), s.cfg.Threshold)
-	}
-	for _, m := range msgs {
-		if err := s.AddNoiseShare(m); err != nil {
-			return err
-		}
-	}
-	return s.SealNoiseShares()
-}
-
-// PartialSum is the sealed output of one aggregator in the two-level
-// topology: the cohort's fully unmasked, noise-adjusted ring sum plus the
-// survivor and noise-share accounting a root combiner folds
-// (combine.Partial carries exactly these fields across the wire).
-type PartialSum struct {
-	// Sum is the cohort aggregate in the ring: masks cancelled, dropout
-	// reconstruction applied, excess XNoise components removed.
-	Sum ring.Vector
-	// Survivors and Dropped partition the configured roster by whether
-	// the client's masked input is in Sum.
-	Survivors []uint64
-	Dropped   []uint64
-	// RemovedComponents lists the XNoise component indices subtracted for
-	// this cohort's dropout count (nil without XNoise).
-	RemovedComponents []int
-}
-
-// FinalizePartial removes the excessive XNoise components (if configured)
-// and seals this aggregator's partial sum. It is the real finalization
-// path: Finalize wraps it for the single-aggregator topology, and shard
-// aggregators ship the PartialSum to the combiner unchanged.
-func (s *Server) FinalizePartial() (PartialSum, error) {
+// Finalize removes the excessive XNoise components (if configured) and
+// seals the round: the aggregate of the clients whose masked input is in
+// it, with the roster partitioned into survivors and dropped clients.
+func (s *Server) Finalize() (Result, error) {
 	if s.sum.Data == nil {
-		return PartialSum{}, fmt.Errorf("secagg: Finalize before unmasking")
+		return Result{}, fmt.Errorf("secagg: Finalize before unmasking")
 	}
-	res := PartialSum{
-		Survivors: append([]uint64(nil), s.u3...),
-	}
+	res := Result{Survivors: append([]uint64(nil), s.u3...)}
 	for _, id := range s.cfg.ClientIDs {
 		if !slices.Contains(s.u3, id) {
 			res.Dropped = append(res.Dropped, id)
@@ -734,30 +634,19 @@ func (s *Server) FinalizePartial() (PartialSum, error) {
 			for _, u := range s.u3 {
 				seeds, ok := s.noiseSeeds[u]
 				if !ok {
-					return PartialSum{}, fmt.Errorf("secagg: missing noise seeds for survivor %d", u)
+					return Result{}, fmt.Errorf("secagg: missing noise seeds for survivor %d", u)
 				}
 				seedsByClient[u] = seeds
 			}
 			removal, err := xnoise.RemovalNoise(*s.cfg.XNoise, s.cfg.sampler(), seedsByClient, numDropped, s.cfg.Dim)
 			if err != nil {
-				return PartialSum{}, err
+				return Result{}, err
 			}
 			if err := s.sum.SubSignedInPlace(removal); err != nil {
-				return PartialSum{}, err
+				return Result{}, err
 			}
 		}
 	}
-	res.Sum = ring.Vector{Bits: s.sum.Bits, Data: append([]uint64(nil), s.sum.Data...)}
+	res.Sum = append([]uint64(nil), s.sum.Data...)
 	return res, nil
-}
-
-// Finalize seals the round for the single-aggregator topology: the
-// PartialSum of the whole roster, flattened into the classic Result.
-func (s *Server) Finalize() (Result, error) {
-	p, err := s.FinalizePartial()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Sum: p.Sum.Data, Survivors: p.Survivors, Dropped: p.Dropped,
-		RemovedComponents: p.RemovedComponents}, nil
 }
