@@ -42,33 +42,7 @@ const (
 	tagPartial     = 0x02
 	tagReport      = 0x03
 	combineVersion = 2
-
-	// maxCombineElems caps decoded slice lengths against hostile length
-	// prefixes, mirroring core's maxWireElems (the transport frame cap is
-	// the binding limit near the boundary).
-	maxCombineElems = 1 << 25
 )
-
-func appendSlab(dst []byte, xs []uint64) ([]byte, error) {
-	if len(xs) > maxCombineElems {
-		return nil, fmt.Errorf("combine: slab of %d elements exceeds wire cap", len(xs))
-	}
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(xs)))
-	dst = append(dst, cnt[:]...)
-	return transport.AppendUint64sLE(dst, xs), nil
-}
-
-func decodeSlab(src []byte) ([]uint64, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("combine: slab header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxCombineElems {
-		return nil, nil, fmt.Errorf("combine: declared slab of %d elements exceeds wire cap", n)
-	}
-	return transport.DecodeUint64sLE(src[4:], n)
-}
 
 func appendHeader(dst []byte, tag byte, round uint64) []byte {
 	dst = append(dst, combineMagic, tag, combineVersion)
@@ -137,16 +111,16 @@ func EncodePartial(p Partial) ([]byte, error) {
 	out = append(out, b[:]...)
 	out = append(out, byte(p.Sum.Bits))
 	var err error
-	if out, err = appendSlab(out, p.Sum.Data); err != nil {
+	if out, err = transport.AppendSlab(out, p.Sum.Data); err != nil {
 		return nil, err
 	}
-	if out, err = appendSlab(out, p.Survivors); err != nil {
+	if out, err = transport.AppendSlab(out, p.Survivors); err != nil {
 		return nil, err
 	}
-	if out, err = appendSlab(out, p.Dropped); err != nil {
+	if out, err = transport.AppendSlab(out, p.Dropped); err != nil {
 		return nil, err
 	}
-	if out, err = appendSlab(out, intsToUint64s(p.RemovedComponents)); err != nil {
+	if out, err = transport.AppendSlab(out, intsToUint64s(p.RemovedComponents)); err != nil {
 		return nil, err
 	}
 	if p.HasTranscript {
@@ -174,18 +148,18 @@ func DecodePartial(p []byte) (Partial, error) {
 	}
 	rest = rest[9:]
 	var sum []uint64
-	if sum, rest, err = decodeSlab(rest); err != nil {
+	if sum, rest, err = transport.DecodeSlab(rest); err != nil {
 		return Partial{}, fmt.Errorf("combine: shard partial sum: %w", err)
 	}
 	out.Sum = ring.Vector{Bits: uint(bits), Data: sum}
-	if out.Survivors, rest, err = decodeSlab(rest); err != nil {
+	if out.Survivors, rest, err = transport.DecodeSlab(rest); err != nil {
 		return Partial{}, fmt.Errorf("combine: shard partial survivors: %w", err)
 	}
-	if out.Dropped, rest, err = decodeSlab(rest); err != nil {
+	if out.Dropped, rest, err = transport.DecodeSlab(rest); err != nil {
 		return Partial{}, fmt.Errorf("combine: shard partial dropped: %w", err)
 	}
 	var ks []uint64
-	if ks, rest, err = decodeSlab(rest); err != nil {
+	if ks, rest, err = transport.DecodeSlab(rest); err != nil {
 		return Partial{}, fmt.Errorf("combine: shard partial removed components: %w", err)
 	}
 	out.RemovedComponents = uint64sToInts(ks)
@@ -224,11 +198,11 @@ func EncodeReport(r *RoundReport) ([]byte, error) {
 	out = append(out, flags)
 	var err error
 	for _, xs := range [][]uint64{r.Sum.Data, r.Contributing, r.Missing, r.Survivors, r.Dropped} {
-		if out, err = appendSlab(out, xs); err != nil {
+		if out, err = transport.AppendSlab(out, xs); err != nil {
 			return nil, err
 		}
 	}
-	if len(r.RemovedComponents) > maxCombineElems {
+	if len(r.RemovedComponents) > transport.MaxSlabWords {
 		return nil, fmt.Errorf("combine: %d removal entries exceed wire cap", len(r.RemovedComponents))
 	}
 	var cnt [4]byte
@@ -243,11 +217,11 @@ func EncodeReport(r *RoundReport) ([]byte, error) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], shard)
 		out = append(out, b[:]...)
-		if out, err = appendSlab(out, intsToUint64s(r.RemovedComponents[shard])); err != nil {
+		if out, err = transport.AppendSlab(out, intsToUint64s(r.RemovedComponents[shard])); err != nil {
 			return nil, err
 		}
 	}
-	if len(r.StaleRounds) > maxCombineElems {
+	if len(r.StaleRounds) > transport.MaxSlabWords {
 		return nil, fmt.Errorf("combine: %d stale entries exceed wire cap", len(r.StaleRounds))
 	}
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(r.StaleRounds)))
@@ -283,12 +257,12 @@ func DecodeReport(p []byte) (*RoundReport, error) {
 	}
 	rest = rest[2:]
 	var sum []uint64
-	if sum, rest, err = decodeSlab(rest); err != nil {
+	if sum, rest, err = transport.DecodeSlab(rest); err != nil {
 		return nil, fmt.Errorf("combine: round report sum: %w", err)
 	}
 	r.Sum = ring.Vector{Bits: uint(bits), Data: sum}
 	for _, dst := range []*[]uint64{&r.Contributing, &r.Missing, &r.Survivors, &r.Dropped} {
-		if *dst, rest, err = decodeSlab(rest); err != nil {
+		if *dst, rest, err = transport.DecodeSlab(rest); err != nil {
 			return nil, fmt.Errorf("combine: round report: %w", err)
 		}
 	}
@@ -297,7 +271,7 @@ func DecodeReport(p []byte) (*RoundReport, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
-	if n > maxCombineElems {
+	if n > transport.MaxSlabWords {
 		return nil, fmt.Errorf("combine: declared %d removal entries exceed wire cap", n)
 	}
 	// Each entry costs at least a shard id plus an empty slab header.
@@ -314,7 +288,7 @@ func DecodeReport(p []byte) (*RoundReport, error) {
 			return nil, fmt.Errorf("combine: duplicate removal entry for shard %d", shard)
 		}
 		var ks []uint64
-		if ks, rest, err = decodeSlab(rest[8:]); err != nil {
+		if ks, rest, err = transport.DecodeSlab(rest[8:]); err != nil {
 			return nil, fmt.Errorf("combine: removal entry %d: %w", i, err)
 		}
 		r.RemovedComponents[shard] = uint64sToInts(ks)
@@ -325,7 +299,7 @@ func DecodeReport(p []byte) (*RoundReport, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(rest))
 		rest = rest[4:]
-		if n > maxCombineElems {
+		if n > transport.MaxSlabWords {
 			return nil, fmt.Errorf("combine: declared %d stale entries exceed wire cap", n)
 		}
 		if n > len(rest)/16 {

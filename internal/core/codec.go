@@ -55,35 +55,10 @@ const (
 	tagUnmask      = 0x04
 )
 
-// maxWireElems caps decoded slice lengths so a hostile length prefix
-// cannot force a huge allocation. It is sized to the transport's 256 MiB
-// frame cap (a maximal slab plus codec headers slightly exceeds the frame
-// cap, so framing, not this cap, is the binding limit near the boundary).
-const maxWireElems = 1 << 25
-
 func appendUint32(dst []byte, v uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	return append(dst, b[:]...)
-}
-
-func appendUint64Slab(dst []byte, xs []uint64) ([]byte, error) {
-	if len(xs) > maxWireElems {
-		return nil, fmt.Errorf("core: slab of %d elements exceeds wire cap", len(xs))
-	}
-	dst = appendUint32(dst, uint32(len(xs)))
-	return transport.AppendUint64sLE(dst, xs), nil
-}
-
-func decodeUint64Slab(src []byte) ([]uint64, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("core: slab header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxWireElems {
-		return nil, nil, fmt.Errorf("core: declared slab of %d elements exceeds wire cap", n)
-	}
-	return transport.DecodeUint64sLE(src[4:], n)
 }
 
 // encodeMaskedInput encodes the stage-2 masked input message.
@@ -93,7 +68,7 @@ func encodeMaskedInput(m secagg.MaskedInputMsg) ([]byte, error) {
 	var from [8]byte
 	binary.LittleEndian.PutUint64(from[:], m.From)
 	out = append(out, from[:]...)
-	return appendUint64Slab(out, m.Y)
+	return transport.AppendSlab(out, m.Y)
 }
 
 // decodeMaskedInput decodes the stage-2 masked input message.
@@ -102,7 +77,7 @@ func decodeMaskedInput(p []byte) (secagg.MaskedInputMsg, error) {
 		return secagg.MaskedInputMsg{}, fmt.Errorf("core: not a binary masked-input payload")
 	}
 	m := secagg.MaskedInputMsg{From: binary.LittleEndian.Uint64(p[2:])}
-	y, rest, err := decodeUint64Slab(p[10:])
+	y, rest, err := transport.DecodeSlab(p[10:])
 	if err != nil {
 		return secagg.MaskedInputMsg{}, fmt.Errorf("core: masked input: %w", err)
 	}
@@ -380,7 +355,7 @@ func encodeResult(r secagg.Result) ([]byte, error) {
 	out = append(out, codecMagic, tagResult)
 	var err error
 	for _, slab := range [][]uint64{r.Sum, r.Survivors, r.Dropped} {
-		if out, err = appendUint64Slab(out, slab); err != nil {
+		if out, err = transport.AppendSlab(out, slab); err != nil {
 			return nil, err
 		}
 	}
@@ -388,7 +363,7 @@ func encodeResult(r secagg.Result) ([]byte, error) {
 	for i, k := range r.RemovedComponents {
 		ks[i] = uint64(k)
 	}
-	return appendUint64Slab(out, ks)
+	return transport.AppendSlab(out, ks)
 }
 
 // decodeResult decodes the final result broadcast.
@@ -400,7 +375,7 @@ func decodeResult(p []byte) (secagg.Result, error) {
 	var slabs [4][]uint64
 	var err error
 	for i := range slabs {
-		if slabs[i], rest, err = decodeUint64Slab(rest); err != nil {
+		if slabs[i], rest, err = transport.DecodeSlab(rest); err != nil {
 			return secagg.Result{}, fmt.Errorf("core: result: %w", err)
 		}
 	}

@@ -40,11 +40,6 @@ const (
 	tagEnvelopes = 0x04
 )
 
-// maxLSAElems caps decoded element-slab lengths so a hostile length prefix
-// cannot force a huge allocation; sized like core's cap to the transport's
-// frame limit.
-const maxLSAElems = 1 << 25
-
 // maxEnvelopes and maxEnvelopeCtBytes bound the envelope list decode the
 // same way core bounds its share bundles.
 const (
@@ -52,32 +47,14 @@ const (
 	maxEnvelopeCtBytes = 1 << 24
 )
 
-func appendElems(dst []byte, xs []field.Element) ([]byte, error) {
-	if len(xs) > maxLSAElems {
-		return nil, fmt.Errorf("lightsecagg: slab of %d elements exceeds wire cap", len(xs))
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(xs)))
-	dst = append(dst, b[:]...)
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x.Uint64())
-	}
-	return dst, nil
-}
-
+// decodeElems decodes a word slab (transport.DecodeSlab) into field
+// elements, reducing each word mod p.
 func decodeElems(src []byte) ([]field.Element, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("lightsecagg: slab header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxLSAElems {
-		return nil, nil, fmt.Errorf("lightsecagg: declared slab of %d elements exceeds wire cap", n)
-	}
-	words, rest, err := transport.DecodeUint64sLE(src[4:], n)
+	words, rest, err := transport.DecodeSlab(src)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lightsecagg: %w", err)
+		return nil, nil, err
 	}
-	out := make([]field.Element, n)
+	out := make([]field.Element, len(words))
 	for i, w := range words {
 		out[i] = field.New(w)
 	}
@@ -86,7 +63,7 @@ func decodeElems(src []byte) ([]field.Element, []byte, error) {
 
 // encodeShareVector is the AEAD plaintext layout of one coded share.
 func encodeShareVector(s []field.Element) []byte {
-	out, _ := appendElems(make([]byte, 0, 4+8*len(s)), s)
+	out, _ := transport.AppendSlab(make([]byte, 0, 4+8*len(s)), s)
 	return out
 }
 
@@ -107,7 +84,7 @@ func encodeFromVector(tag byte, from uint64, xs []field.Element) ([]byte, error)
 	out := make([]byte, 0, 2+8+4+8*len(xs))
 	out = append(out, lsaMagic, tag)
 	out = binary.LittleEndian.AppendUint64(out, from)
-	return appendElems(out, xs)
+	return transport.AppendSlab(out, xs)
 }
 
 func decodeFromVector(tag byte, p []byte) (uint64, []field.Element, error) {
@@ -152,7 +129,7 @@ func decodeAggShare(p []byte) (AggShareMsg, error) {
 func encodeLSAResult(sum []field.Element) ([]byte, error) {
 	out := make([]byte, 0, 2+4+8*len(sum))
 	out = append(out, lsaMagic, tagLSAResult)
-	return appendElems(out, sum)
+	return transport.AppendSlab(out, sum)
 }
 
 func decodeLSAResult(p []byte) ([]field.Element, error) {

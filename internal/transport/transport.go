@@ -178,3 +178,33 @@ func DecodeUint64sLE(src []byte, n int) ([]uint64, []byte, error) {
 	}
 	return out, src[n*8:], nil
 }
+
+// MaxSlabWords caps a word slab's count so a hostile count prefix cannot
+// force a huge allocation. It is sized to the frame cap: a maximal slab
+// plus codec headers slightly exceeds it, so framing, not this cap, is
+// the binding limit near the boundary.
+const MaxSlabWords = 1 << 25
+
+// AppendSlab appends a word slab, the element-vector layout every binary
+// codec shares: [count:4][count × LE u64]. W may be any uint64-based word
+// type (ring words, field elements).
+func AppendSlab[W ~uint64](dst []byte, xs []W) ([]byte, error) {
+	if len(xs) > MaxSlabWords {
+		return nil, fmt.Errorf("transport: slab of %d words exceeds wire cap", len(xs))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
+	return AppendUint64sLE(dst, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))), nil
+}
+
+// DecodeSlab decodes a word slab written by AppendSlab into a fresh slice,
+// returning the remaining bytes.
+func DecodeSlab(src []byte) ([]uint64, []byte, error) {
+	if len(src) < 4 {
+		return nil, nil, fmt.Errorf("transport: slab header truncated")
+	}
+	n := int(binary.LittleEndian.Uint32(src))
+	if n > MaxSlabWords {
+		return nil, nil, fmt.Errorf("transport: declared slab of %d words exceeds wire cap", n)
+	}
+	return DecodeUint64sLE(src[4:], n)
+}
