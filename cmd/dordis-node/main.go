@@ -825,7 +825,7 @@ func runClientLSA(cfg lightsecagg.Config, addr string, id, value uint64) {
 	}
 	defer conn.Close()
 	sum, err := lightsecagg.RunWireClient(context.Background(), lightsecagg.WireClientConfig{
-		Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
+		Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), DropBefore: lightsecagg.NoDrop, Rand: rand.Reader,
 	}, conn)
 	if err != nil {
 		fail(err)
@@ -895,7 +895,7 @@ func runClientSessionsLSA(cfg lightsecagg.Config, addr string, id, value uint64,
 		rcfg := cfg
 		rcfg.Round = hs.Round
 		if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
-			Config: rcfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
+			Config: rcfg, ID: id, Input: lsaInput(cfg.Dim, value), DropBefore: lightsecagg.NoDrop, Rand: rand.Reader,
 			Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
 		}, conn); err != nil {
 			conn = redial(ctx, conn, addr, id, r, err)
@@ -941,7 +941,7 @@ func selfTestLSA(cfg lightsecagg.Config, deadline time.Duration) {
 			}
 			defer conn.Close()
 			if _, err := lightsecagg.RunWireClient(context.Background(), lightsecagg.WireClientConfig{
-				Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
+				Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), DropBefore: lightsecagg.NoDrop, Rand: rand.Reader,
 			}, conn); err != nil {
 				fmt.Fprintln(os.Stderr, "client", id, ":", err)
 			}

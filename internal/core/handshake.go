@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -442,16 +443,6 @@ type Handshake struct {
 // Partial reports whether the outcome is a partial resume.
 func (h Handshake) Partial() bool { return h.Resume && len(h.Divergent) > 0 }
 
-// DivergentContains reports whether id is in the divergent subset.
-func (h Handshake) DivergentContains(id uint64) bool {
-	for _, d := range h.Divergent {
-		if d == id {
-			return true
-		}
-	}
-	return false
-}
-
 // RunHandshakeServer negotiates one round's resume-or-rekey decision with
 // every client and returns the outcome the caller must run the round
 // under (WireServerConfig.Resume, Config.KeyRatchet and Round).
@@ -699,7 +690,7 @@ func RunHandshakeClient(ctx context.Context, cfg ClientHandshakeConfig, sess Cli
 		Resume: commit.Resume, Ratchet: commit.Ratchet, Divergent: commit.Divergent,
 		NoiseEpoch: commit.NoiseEpoch}
 	switch {
-	case commit.Resume && hs.DivergentContains(cfg.ID):
+	case commit.Resume && slices.Contains(hs.Divergent, cfg.ID):
 		// This client is in the divergent subset: its own state is unusable
 		// (or the server's view of it is), so it re-keys fully and will
 		// re-advertise in the coming round while the rest of the roster

@@ -560,7 +560,7 @@ func TestHandshakeLightSecAggResume(t *testing.T) {
 					input[i] = lightsecagg.Lift(int64(id))
 				}
 				if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
-					Config: rcfg, ID: id, Input: input, Rand: rand.Reader,
+					Config: rcfg, ID: id, Input: input, DropBefore: lightsecagg.NoDrop, Rand: rand.Reader,
 					Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
 				}, conns[id]); err != nil {
 					t.Errorf("client %d round: %v", id, err)

@@ -145,7 +145,7 @@ func BenchmarkLSAWireRoundEngine64(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				_, _ = RunWireClient(ctx, WireClientConfig{
-					Config: cfg, ID: id, Input: inputs[id], Rand: rand.Reader,
+					Config: cfg, ID: id, Input: inputs[id], DropBefore: NoDrop, Rand: rand.Reader,
 				}, conns[id])
 			}()
 		}

@@ -55,7 +55,7 @@ func (c *frameStormClient) Send(f transport.Frame) error {
 // stormWireRound runs one wire round with every client's uplink storming,
 // per-client dropout injection, and optional sessions.
 func stormWireRound(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
-	dropAt map[uint64]WireStage, serverSess *ServerSession,
+	dropAt DropSchedule, serverSess *ServerSession,
 	clientSess map[uint64]*Session, resume bool) ([]int64, error) {
 	t.Helper()
 	net := transport.NewMemoryNetwork(256)
@@ -77,7 +77,7 @@ func stormWireRound(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
 			defer wg.Done()
 			wcfg := WireClientConfig{
 				Config: cfg, ID: id, Input: inputs[id],
-				DropBefore: dropAt[id], Rand: rand.Reader,
+				DropBefore: dropAt.Before(id), Rand: rand.Reader,
 				Resume: resume,
 			}
 			if clientSess != nil {
@@ -129,9 +129,9 @@ func TestChaosFrameStormWireRound(t *testing.T) {
 func TestChaosFrameStormWithDropout(t *testing.T) {
 	cfg := testConfig(6, 1, 2, 16) // U = 4
 	inputs, wantSum := makeInputs(cfg)
-	drops := map[uint64]WireStage{
-		3: WireDropBeforeMasked,
-		5: WireDropBeforeAggShare,
+	drops := DropSchedule{
+		3: StageMaskedInput,
+		5: StageAggShare,
 	}
 	got, err := stormWireRound(t, cfg, inputs, drops, nil, nil, false)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestChaosFrameStormSessionResume(t *testing.T) {
 func TestChaosStarvedRecoveryAborts(t *testing.T) {
 	cfg := testConfig(5, 1, 1, 8) // U = 4
 	inputs, _ := makeInputs(cfg)
-	drops := map[uint64]WireStage{1: WireDropBeforeMasked, 2: WireDropBeforeMasked}
+	drops := DropSchedule{1: StageMaskedInput, 2: StageMaskedInput}
 	start := time.Now()
 	_, err := stormWireRound(t, cfg, inputs, drops, nil, nil, false)
 	if err == nil {

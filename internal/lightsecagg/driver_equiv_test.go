@@ -29,18 +29,11 @@ func TestLSAInProcWireEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
 		drops DropSchedule
-		wire  map[uint64]WireStage
 		want  []uint64 // aggregated clients
 	}{
-		{"no-drops", nil, nil, cfg.ClientIDs},
-		{"drop-before-masked-upload",
-			DropSchedule{2: StageMaskedInput},
-			map[uint64]WireStage{2: WireDropBeforeMasked},
-			[]uint64{1, 3, 4, 5, 6}},
-		{"drop-before-agg-share",
-			DropSchedule{4: StageAggShare},
-			map[uint64]WireStage{4: WireDropBeforeAggShare},
-			cfg.ClientIDs},
+		{"no-drops", nil, cfg.ClientIDs},
+		{"drop-before-masked-upload", DropSchedule{2: StageMaskedInput}, []uint64{1, 3, 4, 5, 6}},
+		{"drop-before-agg-share", DropSchedule{4: StageAggShare}, cfg.ClientIDs},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,7 +41,7 @@ func TestLSAInProcWireEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-process: %v", err)
 			}
-			wire, err := runWireRoundDeadline(t, cfg, inputs, tc.wire, time.Second)
+			wire, err := runWireRoundDeadline(t, cfg, inputs, tc.drops, time.Second)
 			if err != nil {
 				t.Fatalf("wire: %v", err)
 			}

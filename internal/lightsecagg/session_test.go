@@ -190,7 +190,7 @@ func TestWireSessionResume(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				_, err := RunWireClient(ctx, WireClientConfig{
-					Config: cfg, ID: id, Input: inputs[id], Rand: rand.Reader,
+					Config: cfg, ID: id, Input: inputs[id], DropBefore: NoDrop, Rand: rand.Reader,
 					Session: clientSess[id], Resume: resume,
 				}, conns[id])
 				if err != nil {

@@ -54,30 +54,6 @@ const (
 	wireResult
 )
 
-// WireStage identifies a point in the client lifecycle for dropout
-// injection.
-type WireStage int
-
-// Dropout injection points (the client vanishes before this action).
-const (
-	WireNoDrop WireStage = iota
-	WireDropBeforeMasked
-	WireDropBeforeAggShare
-)
-
-// stage maps the injection point to the protocol stage the client
-// vanishes before (negative: never).
-func (w WireStage) stage() Stage {
-	switch w {
-	case WireDropBeforeMasked:
-		return StageMaskedInput
-	case WireDropBeforeAggShare:
-		return StageAggShare
-	default:
-		return -1
-	}
-}
-
 func gobEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -172,12 +148,18 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	return sum, nil
 }
 
+// NoDrop marks a wire client that never drops out.
+const NoDrop Stage = -1
+
 // WireClientConfig configures one wire client.
 type WireClientConfig struct {
-	Config     Config
-	ID         uint64
-	Input      []field.Element
-	DropBefore WireStage
+	Config Config
+	ID     uint64
+	Input  []field.Element
+	// DropBefore makes the client vanish before the given protocol stage
+	// (testing hook matching DropSchedule). Use NoDrop for a client that
+	// completes the round.
+	DropBefore Stage
 	Rand       io.Reader
 
 	// Session, when non-nil, carries this client's channel key, pairwise
@@ -218,7 +200,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 		w.Session = &cfg.Session.Continuity
 	}
 	advertise := !cfg.Resume || slices.Contains(cfg.Divergent, cfg.ID)
-	dropped, err := client.RunStages(w, cfg.Input, advertise, cfg.DropBefore.stage())
+	dropped, err := client.RunStages(w, cfg.Input, advertise, cfg.DropBefore)
 	if err != nil {
 		return nil, err
 	}

@@ -12,13 +12,13 @@ import (
 )
 
 func runWireRound(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
-	dropAt map[uint64]WireStage) ([]field.Element, error) {
+	dropAt DropSchedule) ([]field.Element, error) {
 	t.Helper()
 	return runWireRoundDeadline(t, cfg, inputs, dropAt, 800*time.Millisecond)
 }
 
 func runWireRoundDeadline(t *testing.T, cfg Config, inputs map[uint64][]field.Element,
-	dropAt map[uint64]WireStage, deadline time.Duration) ([]field.Element, error) {
+	dropAt DropSchedule, deadline time.Duration) ([]field.Element, error) {
 	t.Helper()
 	net := transport.NewMemoryNetwork(256)
 	conns := make(map[uint64]transport.ClientConn, len(cfg.ClientIDs))
@@ -42,7 +42,7 @@ func runWireRoundDeadline(t *testing.T, cfg Config, inputs map[uint64][]field.El
 			defer wg.Done()
 			wcfg := WireClientConfig{
 				Config: cfg, ID: id, Input: inputs[id],
-				DropBefore: dropAt[id], Rand: rand.Reader,
+				DropBefore: dropAt.Before(id), Rand: rand.Reader,
 			}
 			_, err := RunWireClient(ctx, wcfg, conns[id])
 			mu.Lock()
@@ -60,7 +60,7 @@ func runWireRoundDeadline(t *testing.T, cfg Config, inputs map[uint64][]field.El
 		// On a successful round, every non-dropped client must finish
 		// cleanly too.
 		for id, cerr := range clientErrs {
-			if cerr != nil && dropAt[id] == WireNoDrop {
+			if cerr != nil && dropAt.Before(id) == NoDrop {
 				t.Errorf("client %d: %v", id, cerr)
 			}
 		}
@@ -81,7 +81,7 @@ func TestWireRoundNoDropout(t *testing.T) {
 func TestWireRoundDropBeforeMasked(t *testing.T) {
 	cfg := testConfig(6, 1, 2, 16)
 	inputs, wantSum := makeInputs(cfg)
-	drops := map[uint64]WireStage{3: WireDropBeforeMasked, 5: WireDropBeforeMasked}
+	drops := DropSchedule{3: StageMaskedInput, 5: StageMaskedInput}
 	sum, err := runWireRound(t, cfg, inputs, drops)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestWireRoundDropDuringRecovery(t *testing.T) {
 	inputs, wantSum := makeInputs(cfg)
 	// All six upload; one survivor then vanishes before the aggregate
 	// share — five responders = U exactly.
-	drops := map[uint64]WireStage{4: WireDropBeforeAggShare}
+	drops := DropSchedule{4: StageAggShare}
 	sum, err := runWireRound(t, cfg, inputs, drops)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestWireRoundDropDuringRecovery(t *testing.T) {
 func TestWireRoundAbortsBeyondTolerance(t *testing.T) {
 	cfg := testConfig(5, 1, 1, 8) // U = 4
 	inputs, _ := makeInputs(cfg)
-	drops := map[uint64]WireStage{1: WireDropBeforeMasked, 2: WireDropBeforeMasked}
+	drops := DropSchedule{1: StageMaskedInput, 2: StageMaskedInput}
 	if _, err := runWireRound(t, cfg, inputs, drops); err == nil {
 		t.Fatal("expected abort: 2 dropouts exceed D = 1")
 	}
@@ -139,7 +139,7 @@ func TestWireSharesSealedFromServer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, err := RunWireClient(ctx, WireClientConfig{
-				Config: cfg, ID: id, Input: inputs[id], Rand: rand.Reader,
+				Config: cfg, ID: id, Input: inputs[id], DropBefore: NoDrop, Rand: rand.Reader,
 			}, conns[id])
 			if err != nil {
 				t.Errorf("client %d: %v", id, err)
@@ -229,7 +229,7 @@ func TestWireRoundOverTCP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got, err := RunWireClient(ctx, WireClientConfig{
-				Config: cfg, ID: id, Input: inputs[id], Rand: rand.Reader,
+				Config: cfg, ID: id, Input: inputs[id], DropBefore: NoDrop, Rand: rand.Reader,
 			}, conns[id])
 			if err != nil {
 				t.Errorf("client %d: %v", id, err)
