@@ -25,8 +25,14 @@
 // lightsecagg.RunWireServer), over a transport via TransportSource.
 // Stages that need any-K-of-N completion rather than all-of-N
 // (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
-// Stage.Quorum. See ARCHITECTURE.md for how the engine maps onto the
-// paper's pipeline stages.
+// Stage.Quorum.
+//
+// The engine also holds what both substrates share across rounds:
+// Continuity (continuity.go), the cached roster, its hash and the ratchet
+// high-water mark that every session embeds and the re-key handshake
+// compares, and the wire carriers' session-roster rule
+// (WireServer.FullResume, SessionClient). See ARCHITECTURE.md for how the
+// engine maps onto the paper's pipeline stages.
 package engine
 
 import (

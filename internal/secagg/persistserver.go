@@ -54,31 +54,14 @@ func (s *ServerSession) MarshalBinary() ([]byte, error) {
 	out := []byte{persistMagic, persistServerTag, persistServerVersion}
 	out = binary.LittleEndian.AppendUint64(out, next)
 	out = appendPersistRoster(out, roster)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(rosterIDs)))
-	out = transport.AppendUint64sLE(out, rosterIDs)
+	out, _ = transport.AppendSlab(out, rosterIDs) // within the caps checked above
 
 	tainted := make([]uint64, 0, len(s.tainted))
 	for id := range s.tainted {
 		tainted = append(tainted, id)
 	}
 	sort.Slice(tainted, func(i, j int) bool { return tainted[i] < tainted[j] }) // deterministic encoding
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(tainted)))
-	return transport.AppendUint64sLE(out, tainted), nil
-}
-
-func decodePersistSlab(src []byte, what string) ([]uint64, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("secagg: persisted %s header truncated", what)
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxPersistEntries {
-		return nil, nil, fmt.Errorf("secagg: persisted %s of %d entries exceeds cap", what, n)
-	}
-	out, rest, err := transport.DecodeUint64sLE(src[4:], n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("secagg: persisted %s: %w", what, err)
-	}
-	return out, rest, nil
+	return transport.AppendSlab(out, tainted)
 }
 
 // UnmarshalServerSession rebuilds a server session from MarshalBinary
@@ -103,15 +86,17 @@ func UnmarshalServerSession(p []byte) (*ServerSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rosterIDs []uint64
-	if rosterIDs, src, err = decodePersistSlab(src, "roster id set"); err != nil {
+	var rosterIDs, tainted []uint64
+	if rosterIDs, src, err = transport.DecodeSlab(src); err != nil {
 		return nil, err
+	}
+	if tainted, src, err = transport.DecodeSlab(src); err != nil {
+		return nil, err
+	}
+	if len(rosterIDs) > maxPersistEntries || len(tainted) > maxPersistEntries {
+		return nil, fmt.Errorf("secagg: persisted server session exceeds persist caps")
 	}
 	s.Restore(roster, rosterIDs, next)
-	var tainted []uint64
-	if tainted, src, err = decodePersistSlab(src, "taint set"); err != nil {
-		return nil, err
-	}
 	if len(tainted) > 0 {
 		s.tainted = make(map[uint64]bool, len(tainted))
 		for _, id := range tainted {
