@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,19 +27,99 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runNode runs dordis-node with args and returns its combined output,
-// failing the test on a non-zero exit or after a minute.
-func runNode(t *testing.T, args ...string) string {
+// node is one dordis-node child process running in the background.
+type node struct {
+	args []string
+	mu   sync.Mutex
+	out  bytes.Buffer
+	done chan struct{}
+	err  error
+}
+
+// startNode starts dordis-node with args. The process is killed when the
+// test ends or after two minutes, whichever comes first.
+func startNode(t *testing.T, args ...string) *node {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	n := &node{args: args, done: make(chan struct{})}
 	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("dordis-node %s: %v\n%s", strings.Join(args, " "), err, out)
+	cmd.Stdout, cmd.Stderr = n, n
+	if err := cmd.Start(); err != nil {
+		cancel()
+		t.Fatal(err)
 	}
-	return string(out)
+	go func() {
+		n.err = cmd.Wait()
+		close(n.done)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-n.done
+	})
+	return n
+}
+
+func (n *node) Write(p []byte) (int, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.out.Write(p)
+}
+
+func (n *node) output() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.out.String()
+}
+
+// listenRE matches the loopback address a server-side role prints at
+// startup.
+var listenRE = regexp.MustCompile(`on (127\.0\.0\.1:\d+)`)
+
+// addr waits for the node to print the address it listens on.
+func (n *node) addr(t *testing.T) string {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		if m := listenRE.FindStringSubmatch(n.output()); m != nil {
+			return m[1]
+		}
+		select {
+		case <-n.done:
+			t.Fatalf("dordis-node %s exited before listening: %v\n%s",
+				strings.Join(n.args, " "), n.err, n.output())
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatalf("dordis-node %s printed no listen address:\n%s", strings.Join(n.args, " "), n.output())
+	return ""
+}
+
+// wait waits for the node to exit and returns its combined output,
+// failing the test on a non-zero exit.
+func (n *node) wait(t *testing.T) string {
+	t.Helper()
+	<-n.done
+	if n.err != nil {
+		t.Fatalf("dordis-node %s: %v\n%s", strings.Join(n.args, " "), n.err, n.output())
+	}
+	return n.output()
+}
+
+// runNode runs dordis-node with args and returns its combined output,
+// failing the test on a non-zero exit.
+func runNode(t *testing.T, args ...string) string {
+	t.Helper()
+	return startNode(t, args...).wait(t)
+}
+
+// wantAll fails the test for every want missing from out.
+func wantAll(t *testing.T, who, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s output lacks %q:\n%s", who, want, out)
+		}
+	}
 }
 
 // TestSelftestSecAggLoopback runs the selftest role's SecAgg+XNoise round
@@ -43,15 +127,11 @@ func runNode(t *testing.T, args ...string) string {
 // component is removed, and every client verifies the signed transcript.
 func TestSelftestSecAggLoopback(t *testing.T) {
 	out := runNode(t, "-role", "selftest", "-protocol", "secagg", "-tolerance", "1", "-transcript")
-	for _, want := range []string{
+	wantAll(t, "selftest", out,
 		"round complete: survivors=[1 2 3 4 5] dropped=[]",
 		"XNoise removed components: [1]",
 		"transcript verified by 5/5 clients",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
-		}
-	}
+	)
 }
 
 // TestSelftestLightSecAggLoopback runs the selftest role's LightSecAgg
@@ -59,8 +139,59 @@ func TestSelftestSecAggLoopback(t *testing.T) {
 // the exact aggregate is 15 in every coordinate.
 func TestSelftestLightSecAggLoopback(t *testing.T) {
 	out := runNode(t, "-role", "selftest", "-protocol", "lightsecagg")
-	want := "lightsecagg round complete: per-coordinate mean 15.00"
-	if !strings.Contains(out, want) {
-		t.Errorf("output lacks %q:\n%s", want, out)
+	wantAll(t, "selftest", out, "lightsecagg round complete: per-coordinate mean 15.00")
+}
+
+// runFlat runs a flat server process and one client process per id in
+// 1..5 (client i sends the constant vector i), with serverArgs appended
+// to the server's flags, clientArgs(id) to each client's and common to
+// both. It waits for the server and returns its output with the client
+// processes.
+func runFlat(t *testing.T, common, serverArgs []string, clientArgs func(id uint64) []string) (string, map[uint64]*node) {
+	t.Helper()
+	srv := startNode(t, append(append([]string{"-role", "server", "-listen", "127.0.0.1:0"},
+		common...), serverArgs...)...)
+	addr := srv.addr(t)
+	clients := map[uint64]*node{}
+	for id := uint64(1); id <= 5; id++ {
+		args := append([]string{"-role", "client", "-connect", addr,
+			"-id", fmt.Sprint(id), "-value", fmt.Sprint(id)}, common...)
+		clients[id] = startNode(t, append(args, clientArgs(id)...)...)
 	}
+	return srv.wait(t), clients
+}
+
+func noArgs(uint64) []string { return nil }
+
+// TestFlatServiceResumes runs a two-round flat service per substrate as
+// separate processes: both rounds complete with every client, and with
+// -key-rounds 3 the second round resumes the first round's keys.
+func TestFlatServiceResumes(t *testing.T) {
+	for _, tc := range []struct {
+		protocol string
+		round    string // the server's per-round result line
+	}{
+		{"secagg", "round complete: survivors=[1 2 3 4 5] dropped=[]"},
+		{"lightsecagg", "lightsecagg round complete: per-coordinate mean 15.00"},
+	} {
+		t.Run(tc.protocol, func(t *testing.T) {
+			common := []string{"-protocol", tc.protocol, "-rounds", "2"}
+			out, clients := runFlat(t, common, []string{"-key-rounds", "3"}, noArgs)
+			if n := strings.Count(out, tc.round); n != 2 {
+				t.Errorf("server completed %d of 2 rounds:\n%s", n, out)
+			}
+			wantAll(t, "server", out, "round 2 (resumed, ratchet 1)")
+			for id, c := range clients {
+				wantAll(t, fmt.Sprintf("client %d", id), c.wait(t),
+					fmt.Sprintf("client %d round 2 (resumed, ratchet 1): complete", id))
+			}
+		})
+	}
+}
+
+// TestShardtestLoopback runs the shardtest role's two-shard topology over
+// loopback TCP in one process: both shards fold into the combiner.
+func TestShardtestLoopback(t *testing.T) {
+	out := runNode(t, "-role", "shardtest", "-shards", "2", "-clients", "1,2,3,4,5,6,7,8")
+	wantAll(t, "shardtest", out, "complete: shards=[0 1]")
 }
