@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // The smoke tests run dordis-node as a child process: the test binary
@@ -189,9 +191,70 @@ func TestFlatServiceResumes(t *testing.T) {
 	}
 }
 
+// TestSingleRoundSessionClientSurvives runs a -rounds 1 server whose
+// client 1 keeps its session in -session-dir: the server and every
+// client must agree on running the handshake, so no client drops.
+func TestSingleRoundSessionClientSurvives(t *testing.T) {
+	dir := t.TempDir()
+	out, clients := runFlat(t, []string{"-rounds", "1"}, nil, func(id uint64) []string {
+		if id == 1 {
+			return []string{"-session-dir", dir}
+		}
+		return nil
+	})
+	wantAll(t, "server", out, "round complete: survivors=[1 2 3 4 5] dropped=[]")
+	if t.Failed() {
+		return
+	}
+	for _, c := range clients {
+		c.wait(t)
+	}
+}
+
 // TestShardtestLoopback runs the shardtest role's two-shard topology over
 // loopback TCP in one process: both shards fold into the combiner.
 func TestShardtestLoopback(t *testing.T) {
 	out := runNode(t, "-role", "shardtest", "-shards", "2", "-clients", "1,2,3,4,5,6,7,8")
 	wantAll(t, "shardtest", out, "complete: shards=[0 1]")
+}
+
+// TestShardedServiceResumes runs the sharded topology as separate
+// processes — a combiner, two shard aggregators and eight clients — for
+// two rounds: both rounds fold both shards, and each shard resumes its
+// sub-roster's keys in round 2.
+func TestShardedServiceResumes(t *testing.T) {
+	const roster = "1,2,3,4,5,6,7,8"
+	common := []string{"-shards", "2", "-rounds", "2", "-clients", roster}
+	comb := startNode(t, append([]string{"-role", "combiner", "-listen", "127.0.0.1:0",
+		"-combine-deadline", "30s"}, common...)...)
+	combAddr := comb.addr(t)
+	var shards []*node
+	var addrs []string
+	for s := 0; s < 2; s++ {
+		sh := startNode(t, append([]string{"-role", "shard", "-shard-id", fmt.Sprint(s),
+			"-listen", "127.0.0.1:0", "-combiner-addr", combAddr, "-key-rounds", "3",
+			"-combine-deadline", "30s"}, common...)...)
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr(t))
+	}
+	ids, err := parseIDs(roster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.NewShardPlan(ids, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients []*node
+	for _, id := range ids {
+		clients = append(clients, startNode(t, append([]string{"-role", "client",
+			"-connect", addrs[plan.ShardOf(id)], "-id", fmt.Sprint(id)}, common...)...))
+	}
+	for s, sh := range shards {
+		wantAll(t, fmt.Sprintf("shard %d", s), sh.wait(t), "round 2 (resumed, ratchet 1)")
+	}
+	wantAll(t, "combiner", comb.wait(t), "round 1: complete: shards=[0 1]", "round 2: complete: shards=[0 1]")
+	for _, c := range clients {
+		c.wait(t)
+	}
 }

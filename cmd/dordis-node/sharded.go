@@ -2,9 +2,9 @@ package main
 
 // Sharded (multi-aggregator) deployment roles. The two-level topology
 // runs each shard as a full dordis aggregation service over its
-// sub-roster — same wire protocol, same engine, same round body the flat
-// server role uses — plus one upward TCP leg to a root combiner that
-// folds the masked shard partials (PROTOCOL.md §combiner). Start the
+// sub-roster — the same server loop, handshake, engine and round body the
+// flat server role uses — plus one upward TCP leg to a root combiner
+// that folds the masked shard partials (PROTOCOL.md §combiner). Start the
 // combiner, then one shard aggregator per shard, then the clients:
 //
 //	dordis-node -role combiner -listen :7800 -shards 4 -shard-quorum 3
@@ -16,7 +16,8 @@ package main
 // plan from (-clients, -shards), so a client only needs the address of
 // the shard that owns its id. With -tolerance > 0 each shard draws
 // independent Skellam noise at mu/S — the XNoise decomposition that
-// makes S shards compose to the central -mu (see package combine).
+// makes S shards compose to the central -mu (see package combine). Give
+// the combiner, every shard and every client the same -rounds.
 //
 // Or run the whole topology in one process over loopback TCP:
 //
@@ -29,323 +30,176 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/secagg"
-	"repro/internal/sig"
 	"repro/internal/transcript"
 	"repro/internal/transport"
-	"repro/internal/xnoise"
 )
 
-// shardedFlags carries the sharded-topology knobs out of main.
-type shardedFlags struct {
-	shards          int
-	shardID         uint64
-	combinerAddr    string
-	shardQuorum     int
-	combineDeadline time.Duration
-	killShard       int
-}
-
-// shardRoster derives the sub-roster the given shard aggregates — the
-// same contiguous plan every party derives from (-clients, -shards).
-func shardRoster(ids []uint64, shards int, shard uint64) []uint64 {
-	plan, err := core.NewShardPlan(ids, shards)
+// subRoster derives the sub-roster of the shard this process serves:
+// -shard-id for a shard aggregator, the shard owning -id for a client —
+// from the contiguous plan every party derives from (-clients, -shards).
+func subRoster(o *options, ids []uint64) ([]uint64, error) {
+	plan, err := core.NewShardPlan(ids, o.shards)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	if shard >= uint64(shards) {
-		fail(fmt.Errorf("shard id %d out of range [0, %d)", shard, shards))
-	}
-	return plan.Rosters[shard]
-}
-
-// shardRosterOf narrows the full roster to the sub-roster owning client
-// id — the client-side half of the shared plan derivation.
-func shardRosterOf(ids []uint64, shards int, id uint64) []uint64 {
-	plan, err := core.NewShardPlan(ids, shards)
-	if err != nil {
-		fail(err)
-	}
-	s := plan.ShardOf(id)
-	if s < 0 {
-		fail(fmt.Errorf("client %d not in the sampled set", id))
-	}
-	return plan.Rosters[s]
-}
-
-// shardSecaggConfig builds one shard's round config: the sub-roster, the
-// per-shard threshold/tolerance, and the split noise target mu/S.
-func shardSecaggConfig(sub []uint64, shards, threshold, dim, tolerance int,
-	mu float64, noiseEpoch uint64) secagg.Config {
-
-	cfg := secagg.Config{
-		Round: 1, ClientIDs: sub, Threshold: threshold, Bits: 20, Dim: dim,
-		NoiseEpoch: noiseEpoch,
-	}
-	if tolerance > 0 {
-		cfg.XNoise = &xnoise.Plan{
-			NumClients:       len(sub),
-			DropoutTolerance: tolerance,
-			Threshold:        threshold,
-			TargetVariance:   mu / float64(shards),
+	s := int(o.shardID)
+	if o.role == "client" {
+		if s = plan.ShardOf(o.id); s < 0 {
+			return nil, fmt.Errorf("client %d not in the sampled set", o.id)
 		}
+	} else if o.shardID >= uint64(o.shards) {
+		return nil, fmt.Errorf("shard id %d out of range [0, %d)", o.shardID, o.shards)
 	}
-	if err := cfg.Validate(); err != nil {
-		fail(fmt.Errorf("shard config (threshold and tolerance apply per shard): %w", err))
-	}
-	return cfg
+	return plan.Rosters[s], nil
 }
 
-func runCombinerRole(sf shardedFlags, listen string, rounds int, rec *transcript.Recorder) {
-	srv, err := transport.ListenTCP(listen)
+// shardNode builds one shard's round: the sub-roster, the per-shard
+// threshold/tolerance, and the split noise target mu/S.
+func shardNode(o *options, sub []uint64) (substrate, error) {
+	n, err := newSubstrate(o, sub, o.mu/float64(o.shards))
 	if err != nil {
-		fail(err)
+		return nil, fmt.Errorf("shard config (threshold and tolerance apply per shard): %w", err)
 	}
-	defer srv.Close()
-	shardIDs := make([]uint64, sf.shards)
+	return n, nil
+}
+
+// runCombiner runs o.rounds combiner rounds over the shard aggregators
+// connecting to srv and returns the last round's report.
+func runCombiner(ctx context.Context, srv *transport.TCPServer, o *options,
+	rec *transcript.Recorder) (*combine.RoundReport, error) {
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	shardIDs := make([]uint64, o.shards)
 	for i := range shardIDs {
 		shardIDs[i] = uint64(i)
 	}
-	fmt.Printf("combiner listening on %s for %d shard aggregators (quorum %d)\n",
-		srv.Addr(), sf.shards, sf.shardQuorum)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// One engine spans every round on this connection, like the session-mode
-	// server: shard partials for round r+1 must not race the round-r report.
+	// One engine spans every round on this connection, like the server
+	// loop: shard partials for round r+1 must not race the round-r report.
 	eng := engine.New(engine.TransportSource(ctx, srv))
-	quorum := sf.shardQuorum
+	quorum := o.shardQuorum
 	if quorum <= 0 {
-		quorum = sf.shards
+		quorum = o.shards
 	}
-	for r := 1; r <= rounds; r++ {
-		// Round 1 waits for a quorum of shard dials (bring-up); later rounds
-		// reuse the live connections and the hello stage does the waiting.
-		if r == 1 {
-			waitForClients(srv, quorum, 0)
-		}
-		report, err := core.RunCombiner(ctx, core.CombinerConfig{
-			Round: uint64(r), ShardIDs: shardIDs, Quorum: sf.shardQuorum,
-			StageDeadline: sf.combineDeadline, AwaitHellos: true, Engine: eng,
-			Transcript: rec,
+	// Round 1 waits for a quorum of shard dials (bring-up); later rounds
+	// reuse the live connections and the partial stage does the waiting.
+	waitForClients(ctx, srv, quorum, 0)
+	var report *combine.RoundReport
+	for r := 1; r <= o.rounds; r++ {
+		// No hello stage (AwaitHellos): the engine discards partials that
+		// arrive while it collects hellos, and a shard whose clients are
+		// quick finishes its round before a slow shard says hello.
+		var err error
+		report, err = core.RunCombiner(ctx, core.CombinerConfig{
+			Round: uint64(r), ShardIDs: shardIDs, Quorum: o.shardQuorum,
+			StageDeadline: o.combineDeadline, Engine: eng, Transcript: rec,
 		}, srv)
 		if err != nil {
-			fail(err)
+			return nil, err
 		}
-		fmt.Printf("round %d: ", r)
-		printReport(report)
+		fmt.Printf("round %d: %s", r, formatReport(report))
 		printRecorderTip(rec)
 	}
+	return report, nil
 }
 
-func printReport(report *combine.RoundReport) {
+func formatReport(report *combine.RoundReport) string {
 	state := "complete"
 	if report.Degraded {
 		state = fmt.Sprintf("DEGRADED (missing shards %v)", report.Missing)
 	}
-	centered := report.Sum.Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v)
-	}
-	mean /= float64(len(centered))
-	fmt.Printf("%s: shards=%v survivors=%d dropped=%d, folded per-coordinate mean %.2f\n",
-		state, report.Contributing, len(report.Survivors), len(report.Dropped), mean)
-}
-
-func runShardRole(cfg secagg.Config, sf shardedFlags, listen string, rounds int,
-	deadline time.Duration, rec *transcript.Recorder) {
-	srv, err := transport.ListenTCP(listen)
-	if err != nil {
-		fail(err)
-	}
-	defer srv.Close()
-	ctx := context.Background()
-	up := sessionDial(ctx, sf.combinerAddr, sf.shardID)
-	defer up.Close()
-	fmt.Printf("shard %d listening on %s for %d clients, combiner at %s\n",
-		sf.shardID, srv.Addr(), len(cfg.ClientIDs), sf.combinerAddr)
-	for r := 1; r <= rounds; r++ {
-		bound := deadline
-		if r == 1 {
-			bound = 0
-		}
-		waitForClients(srv, len(cfg.ClientIDs), bound)
-		rcfg := cfg
-		rcfg.Round = uint64(r)
-		report, res, err := core.RunShardWire(ctx, core.ShardWireConfig{
-			Shard: sf.shardID, Round: uint64(r),
-			Server:                 core.WireServerConfig{SecAgg: rcfg, StageDeadline: deadline, Transcript: rec},
-			ReportDeadline:         sf.combineDeadline,
-			RelayCombineTranscript: rec != nil,
-		}, srv, up)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("shard %d round %d: %d survivors, partial folded; combiner ", sf.shardID, r, len(res.Survivors))
-		printReport(report)
-		printRecorderTip(rec)
-	}
+	return fmt.Sprintf("%s: shards=%v survivors=%d dropped=%d, folded per-coordinate mean %s\n",
+		state, report.Contributing, len(report.Survivors), len(report.Dropped), meanOf(report.Sum.Centered()))
 }
 
 // shardSelfTest runs the whole two-level topology in one process over
-// loopback TCP: a combiner, -shards shard aggregators (each a real TCP
-// server), and every client. killShard >= 0 cancels that shard's context
-// mid-round; with a quorum below -shards the round must complete degraded.
-// transcriptOn wires the verifiable-transcript layer through both tiers
+// loopback TCP: the combiner loop, and per shard a server loop with an
+// upward connection and its clients' loops, each client sending the
+// constant vector 1. -kill-shard cancels that shard's context mid-round;
+// with a quorum below -shards the round must complete degraded.
+// -transcript wires the verifiable-transcript layer through both tiers
 // with throwaway signing keys: every client audits its shard's signed
 // root and the shard root's inclusion in the combiner's tree.
-func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
-	mu float64, noiseEpoch uint64, deadline time.Duration, transcriptOn bool) {
-
-	plan, err := core.NewShardPlan(ids, sf.shards)
+func shardSelfTest(o *options, ids []uint64) error {
+	plan, err := core.NewShardPlan(ids, o.shards)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	comb, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer comb.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	var combRec *transcript.Recorder
-	var combPub []byte
-	if transcriptOn {
-		combSigner, err := sig.NewSigner(rand.Reader)
-		if err != nil {
-			fail(err)
-		}
-		combRec = transcript.NewRecorder(combSigner)
-		combPub = combSigner.Public()
-	}
-	var auditMu sync.Mutex
-	var tierOne, tierTwo, audited int
-
-	shardIDs := make([]uint64, sf.shards)
-	for i := range shardIDs {
-		shardIDs[i] = uint64(i)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < sf.shards; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub := plan.Rosters[s]
-			scfg := shardSecaggConfig(sub, sf.shards, threshold, dim, tolerance, mu, noiseEpoch)
-			srv, err := transport.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shard", s, "listen:", err)
-				return
-			}
-			defer srv.Close()
-			up, err := transport.DialTCP(comb.Addr(), uint64(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shard", s, "dial combiner:", err)
-				return
-			}
-			defer up.Close()
-			var shardRec *transcript.Recorder
-			var shardPub []byte
-			if transcriptOn {
-				shardSigner, err := sig.NewSigner(rand.Reader)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "shard", s, "signer:", err)
-					return
-				}
-				shardRec = transcript.NewRecorder(shardSigner)
-				shardPub = shardSigner.Public()
-			}
-			shardCtx := ctx
-			if s == sf.killShard {
-				var kill context.CancelFunc
-				shardCtx, kill = context.WithCancel(ctx)
-				// Crash after the clients are mid-protocol: presence announced,
-				// round under way — the worst-case loss for the combiner.
-				time.AfterFunc(300*time.Millisecond, kill)
-			}
-			var cwg sync.WaitGroup
-			for _, id := range sub {
-				id := id
-				cwg.Add(1)
-				go func() {
-					defer cwg.Done()
-					conn, err := transport.DialTCP(srv.Addr(), id)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "client", id, "dial:", err)
-						return
-					}
-					defer conn.Close()
-					aud, caud := clientAuditors(transcriptOn, shardPub, combPub, true)
-					// A killed shard strands its clients mid-round; their
-					// errors are expected collateral, not failures.
-					if _, err := core.RunWireClient(shardCtx, core.WireClientConfig{
-						SecAgg: scfg, ID: id, Input: constInput(scfg, 1),
-						DropBefore: core.NoDrop, Rand: rand.Reader,
-						Transcript: aud, CombineTranscript: caud,
-					}, conn); err != nil && s != sf.killShard {
-						fmt.Fprintln(os.Stderr, "client", id, ":", err)
-					}
-					if aud != nil {
-						auditMu.Lock()
-						audited++
-						if len(aud.History()) > 0 {
-							tierOne++
-						}
-						if len(caud.History()) > 0 {
-							tierTwo++
-						}
-						auditMu.Unlock()
-					}
-				}()
-			}
-			waitForClients(srv, len(sub), 0)
-			_, _, err = core.RunShardWire(shardCtx, core.ShardWireConfig{
-				Shard: uint64(s), Round: 1,
-				Server:                 core.WireServerConfig{SecAgg: scfg, StageDeadline: deadline, Transcript: shardRec},
-				ReportDeadline:         sf.combineDeadline,
-				RelayCombineTranscript: shardRec != nil,
-			}, srv, up)
-			if err != nil && s != sf.killShard {
-				fmt.Fprintln(os.Stderr, "shard", s, ":", err)
-			}
-			cwg.Wait()
-		}()
-	}
-
-	quorum := sf.shardQuorum
-	if quorum <= 0 {
-		quorum = sf.shards
-	}
-	waitForClients(comb, quorum, 0)
-	report, err := core.RunCombiner(ctx, core.CombinerConfig{
-		Round: 1, ShardIDs: shardIDs, Quorum: sf.shardQuorum,
-		StageDeadline: sf.combineDeadline, AwaitHellos: true,
-		Transcript: combRec,
-	}, comb)
+	combSigner, combPub, err := testSigner(o)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	wg.Wait() // shards drain the report broadcast before teardown
-	printReport(report)
+
+	var clients []*client
+	var waits []func() error
+	for s, sub := range plan.Rosters {
+		node, err := shardNode(o, sub)
+		if err != nil {
+			return err
+		}
+		up, err := transport.DialTCP(comb.Addr(), uint64(s))
+		if err != nil {
+			return err
+		}
+		sv := &server{sub: node, rounds: o.rounds, keyRounds: o.keyRounds, deadline: o.deadline,
+			up: &uplink{conn: up, shard: uint64(s), deadline: o.combineDeadline}}
+		shardCtx, kill := context.WithCancel(ctx)
+		defer kill()
+		if s == o.killShard {
+			// Crash after the clients are mid-protocol: presence announced,
+			// round under way — the worst-case loss for the combiner.
+			time.AfterFunc(300*time.Millisecond, kill)
+		}
+		cs, wait, err := loopback(shardCtx, o, sv, combPub, func(int) uint64 { return 1 })
+		if err != nil {
+			return err
+		}
+		clients = append(clients, cs...)
+		waits = append(waits, wait)
+	}
+
+	report, err := runCombiner(ctx, comb, o, recorder(combPub != nil, combSigner))
+	if err != nil {
+		cancel()
+	}
+	for s, wait := range waits { // shards drain the report broadcast before teardown
+		if err := wait(); err != nil && s != o.killShard {
+			fmt.Fprintln(os.Stderr, "shard", s, ":", err)
+		}
+	}
+	if err != nil {
+		return err
+	}
 	// Every client fed a constant 1, so the folded sum per coordinate is
 	// the survivor count (plus XNoise when -tolerance > 0).
-	want := len(report.Survivors)
 	fmt.Printf("expected per-coordinate mean ~%d over %d contributing shard(s)\n",
-		want, len(report.Contributing))
-	if transcriptOn {
-		fmt.Printf("transcripts: %d/%d clients verified their shard tier, %d the combiner tier, ",
-			tierOne, audited, tierTwo)
-		printRecorderTip(combRec)
+		len(report.Survivors), len(report.Contributing))
+	if combPub != nil {
+		var tierOne, tierTwo int
+		for _, c := range clients {
+			if len(c.aud.History()) > 0 {
+				tierOne++
+			}
+			if len(c.caud.History()) > 0 {
+				tierTwo++
+			}
+		}
+		fmt.Printf("transcripts: %d/%d clients verified their shard tier, %d the combiner tier\n",
+			tierOne, len(clients), tierTwo)
 	}
+	return nil
 }

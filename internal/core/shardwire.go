@@ -80,15 +80,11 @@ func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerC
 		_, err := eng.Collect(roundCtx, engine.Stage{
 			Name: "shard-hello", Tag: engine.TagShardHello, Expect: cfg.ShardIDs,
 			Quorum: quorum, Deadline: cfg.StageDeadline,
-			Apply: func(from uint64, body any) error {
-				// Hellos are idempotent presence signals; a stale or
-				// misrouted one is ignored, never an abort.
-				round, shard, err := combine.DecodeHello(body.([]byte))
-				if err != nil || round != cfg.Round || shard != from {
-					return nil
-				}
-				return nil
-			},
+			// Hellos are presence signals only: the engine admits any
+			// hello from an expected shard, stale or misrouted ones
+			// included, and counts it toward the quorum. Stale rounds are
+			// rejected by the partial stage, never here.
+			Apply: func(uint64, any) error { return nil },
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: combiner hello stage: %w", err)
