@@ -5,52 +5,42 @@
 //	dordis-node -role server -listen :7700 -clients 1,2,3,4,5 -threshold 3
 //	dordis-node -role client -connect host:7700 -id 1 -clients 1,2,3,4,5 -threshold 3 -value 7
 //
-// Or run the whole round in one process for a smoke test:
-//
-//	dordis-node -role selftest
-//
+// or the whole service in one process for a smoke test: -role selftest.
 // Every client contributes a constant vector of its -value; the server
 // prints the unmasked aggregate. With -tolerance > 0 the round runs
 // XNoise with the given dropout tolerance and target noise level.
-//
 // -protocol lightsecagg runs the LightSecAgg baseline instead (one-shot
 // mask recovery, no DP noise): -tolerance then means the dropout
-// tolerance D and -threshold the privacy threshold T.
+// tolerance D and -threshold the privacy threshold T. Every role runs
+// the one server loop or the one client loop of node.go; sharded.go
+// adds the two-level topology.
 //
 // # Sessions, resume, and the re-key handshake
 //
-// The node is a service of -rounds rounds; a single round is -rounds 1.
-// Before every round, server and clients negotiate the signed re-key
-// handshake (PROTOCOL.md §handshake) deciding whether the round
-// *resumes* the live key generation — skipping the advertise stage and
-// performing zero X25519 key generations and zero agreements — or
-// re-keys from scratch. Resume requires -key-rounds > 1 on the server
-// (with the default of 1 every handshake re-keys) and succeeds only while
-// every client's session state hash matches the server's, nobody carries
-// dropout taint (a client that vanished mid-round may have had its mask
-// key reconstructed), and the key generation has rounds left. Divergence
-// of a *few* members downgrades to a partial re-key — the commit names
-// the divergent subset, only their pairwise edges re-key, and everyone
-// else keeps cached secrets — while broader divergence falls back to a
-// clean full re-key.
+// The node runs -rounds rounds (a single round is -rounds 1), each after
+// the signed re-key handshake (PROTOCOL.md §handshake). It decides
+// whether the round *resumes* the live key generation — skipping the
+// advertise stage, with zero X25519 key generations and agreements — or
+// re-keys. Resume needs -key-rounds > 1 on the server (the default of 1
+// re-keys every round), matching session state hashes, no dropout taint
+// (a client that vanished mid-round may have had its mask key
+// reconstructed), and rounds left in the key generation. If only a
+// *few* members diverge, only their pairwise edges re-key (a partial
+// re-key); broader divergence re-keys everyone.
 //
-// Clients are churn-tolerant on the wire: they dial with capped
-// exponential backoff (the service may come up late), and a transport
-// failure mid-round forfeits that round instead of killing the process —
-// the client re-dials, re-hellos, and rejoins at the next handshake,
-// where its in-flight taint lands it in the divergent subset and re-keys
-// only its own edges.
+// Clients dial with capped exponential backoff (the service may come up
+// late). A transport failure mid-round forfeits that round: the client
+// re-dials and rejoins at the next handshake, where its in-flight taint
+// re-keys only its own edges.
 //
 // -session-dir makes clients persist their session (key pairs, cached
 // pairwise secrets, ratchet position — never expanded masks) to an
 // AEAD-encrypted store after the handshake and after each completed
 // round, keyed by the contents of -session-key-file (created with random
-// bytes on first use). A client process that crashes or is restarted
-// between rounds re-dials with the same -session-dir and rejoins the
-// service on its restored session: if nothing diverged, its next round
-// resumes with zero key work. Restarting *mid-round* leaves the stored
-// session tainted, so the next handshake re-keys — dropping the store
-// entirely also just forces a re-key.
+// bytes on first use). A restarted client rejoins on its restored
+// session and, if nothing diverged, resumes with zero key work;
+// restarting *mid-round* leaves the session tainted, so the next
+// handshake re-keys it, as does dropping the store.
 //
 // The handshake is Ed25519-signed when the server is given
 // -sign-key-file (created on first use; the verification key is printed
@@ -68,11 +58,10 @@
 // the round fails loudly unless the proof verifies against the
 // committed root, the signature checks out under the -server-pub pin,
 // and the root chains from the previous audited round. Clients of a
-// sharded topology additionally audit the combiner tier — the shard
-// root's inclusion in the combiner's own signed tree — pinning the
-// combiner's key with -combiner-pub. Enable -transcript on every
-// aggregator role of a topology together: a shard relays the combiner
-// tier only when both sides emit it.
+// sharded topology also audit the shard root's inclusion in the
+// combiner's signed tree, pinning -combiner-pub. Enable -transcript on
+// every aggregator role of a topology together: a shard relays the
+// combiner tier only when both sides emit it.
 package main
 
 import (
@@ -163,13 +152,9 @@ func main() {
 	flag.Parse()
 
 	if err := run(&o); err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "dordis-node:", err)
+		os.Exit(1)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dordis-node:", err)
-	os.Exit(1)
 }
 
 // run starts the role's loop.
@@ -238,7 +223,12 @@ func run(o *options) error {
 		if err != nil {
 			return err
 		}
-		c.aud, c.caud = clientAuditors(o.verifyTranscript, c.serverPub, combinerPub, o.shards > 1)
+		if o.verifyTranscript {
+			c.aud = transcript.NewAuditor(c.serverPub)
+			if o.shards > 1 {
+				c.caud = transcript.NewCombineAuditor(combinerPub)
+			}
+		}
 		return join(ctx, c)
 	case "selftest":
 		return selfTest(o, sub)
@@ -278,17 +268,11 @@ func recorder(on bool, signer *sig.Signer) *transcript.Recorder {
 func newSubstrate(o *options, ids []uint64, mu float64) (substrate, error) {
 	switch o.protocol {
 	case "secagg":
-		cfg := secagg.Config{
-			Round: 1, ClientIDs: ids, Threshold: o.threshold, Bits: 20, Dim: o.dim,
-			NoiseEpoch: o.noiseEpoch,
-		}
+		cfg := secagg.Config{Round: 1, ClientIDs: ids, Threshold: o.threshold, Bits: 20, Dim: o.dim,
+			NoiseEpoch: o.noiseEpoch}
 		if o.tolerance > 0 {
-			cfg.XNoise = &xnoise.Plan{
-				NumClients:       len(ids),
-				DropoutTolerance: o.tolerance,
-				Threshold:        o.threshold,
-				TargetVariance:   mu,
-			}
+			cfg.XNoise = &xnoise.Plan{NumClients: len(ids), DropoutTolerance: o.tolerance,
+				Threshold: o.threshold, TargetVariance: mu}
 		}
 		return secaggNode{cfg}, cfg.Validate()
 	case "lightsecagg":
@@ -314,20 +298,17 @@ func parseIDs(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// dial connects to addr as id with capped exponential backoff under a
-// one-minute budget: a long-lived party tolerates the service coming up
-// after it and transient blips.
+// dial connects to addr as id with capped exponential backoff for up to
+// a minute: the service may come up late or blip.
 func dial(ctx context.Context, addr string, id uint64) (*transport.TCPClient, error) {
 	ctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
 	return transport.DialRetry(ctx, addr, id, transport.RetryConfig{})
 }
 
-// waitForClients blocks until n clients are connected, ctx ends or, when
-// deadline is positive, it expires — the multi-round service must not
-// wedge on a permanently dead client at a round boundary (the handshake
-// offers past absentees and the round thresholds decide downstream),
-// while initial bring-up (deadline 0) waits for the full roster.
+// waitForClients blocks until n clients are connected, ctx ends or a
+// positive deadline expires: past it the handshake offers past absentees
+// and the round thresholds decide.
 func waitForClients(ctx context.Context, srv *transport.TCPServer, n int, deadline time.Duration) {
 	start := time.Now()
 	for len(srv.Clients()) < n && ctx.Err() == nil {
@@ -410,23 +391,6 @@ func openStore(dir, keyFile string) (*sessionstore.Store, error) {
 	return sessionstore.Open(dir, sessionstore.DeriveKey(material))
 }
 
-// clientAuditors builds the client's transcript verification state:
-// the flat-tier auditor pinning the server key and, for sharded runs,
-// the combiner-tier auditor pinning the combiner key. Both are nil
-// without -verify-transcript.
-func clientAuditors(on bool, serverPub, combinerPub []byte, sharded bool) (
-	*transcript.Auditor, *transcript.CombineAuditor) {
-
-	if !on {
-		return nil, nil
-	}
-	aud := transcript.NewAuditor(serverPub)
-	if !sharded {
-		return aud, nil
-	}
-	return aud, transcript.NewCombineAuditor(combinerPub)
-}
-
 // printAudit reports the last verified transcript roots after a round
 // (no-op without -verify-transcript).
 func printAudit(w io.Writer, id uint64, aud *transcript.Auditor, caud *transcript.CombineAuditor) {
@@ -444,15 +408,17 @@ func printAudit(w io.Writer, id uint64, aud *transcript.Auditor, caud *transcrip
 	}
 }
 
-// printRecorderTip reports the chained round root after a round (no-op
-// without -transcript).
-func printRecorderTip(rec *transcript.Recorder) {
+// tip renders the chained transcript root after a round ("" without
+// -transcript).
+func tip(rec *transcript.Recorder) string {
 	if rec == nil {
-		return
+		return ""
 	}
-	if tip, ok := rec.Tip(); ok {
-		fmt.Printf("transcript root %s (chained)\n", shortRoot(tip))
+	root, ok := rec.Tip()
+	if !ok {
+		return ""
 	}
+	return fmt.Sprintf("transcript root %s (chained)\n", shortRoot(root))
 }
 
 func shortRoot(r [32]byte) string { return hex.EncodeToString(r[:8]) }
@@ -502,7 +468,12 @@ func loopback(ctx context.Context, o *options, s *server, combPub []byte,
 	for i, id := range s.sub.handshake().ClientIDs {
 		c := &client{sub: s.sub, addr: s.srv.Addr(), id: id, value: value(i), rounds: s.rounds,
 			serverPub: pub, out: io.Discard}
-		c.aud, c.caud = clientAuditors(pub != nil, pub, combPub, combPub != nil)
+		if pub != nil {
+			c.aud = transcript.NewAuditor(pub)
+			if combPub != nil {
+				c.caud = transcript.NewCombineAuditor(combPub)
+			}
+		}
 		clients = append(clients, c)
 		cwg.Add(1)
 		go func() {

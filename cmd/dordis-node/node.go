@@ -1,10 +1,9 @@
 package main
 
-// The round loops. Every role runs one of two loops: serve (the flat
-// server and each shard aggregator) or join (every client). A substrate
-// supplies what differs between SecAgg and LightSecAgg; the loops own
-// what is the same: the engine, the handshake before every round, the
-// session persistence and the re-dial.
+// The round loops: serve runs the flat server and each shard aggregator,
+// join every client. A substrate supplies what differs between SecAgg
+// and LightSecAgg; the loops own the engine, the handshake before every
+// round, session persistence and the re-dial.
 
 import (
 	"context"
@@ -58,14 +57,13 @@ type clientSession interface {
 // server is one aggregator: the flat server or, with up set, a shard
 // aggregator whose round result folds into the combiner.
 type server struct {
-	sub       substrate
-	srv       *transport.TCPServer
-	rounds    int
-	keyRounds int
-	deadline  time.Duration
-	signer    *sig.Signer          // signs the handshake and the transcript chain
-	rec       *transcript.Recorder // nil without -transcript
-	up        *uplink              // nil for the flat server
+	sub               substrate
+	srv               *transport.TCPServer
+	rounds, keyRounds int
+	deadline          time.Duration
+	signer            *sig.Signer          // signs the handshake and the transcript chain
+	rec               *transcript.Recorder // nil without -transcript
+	up                *uplink              // nil for the flat server
 }
 
 // uplink is a shard aggregator's connection to the root combiner.
@@ -108,8 +106,7 @@ func serve(ctx context.Context, s *server) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%sround %d (%s): %s", prefix, r, describe(hs), res)
-		printRecorderTip(s.rec)
+		fmt.Printf("%sround %d (%s): %s%s", prefix, r, describe(hs), res, tip(s.rec))
 	}
 	return nil
 }
@@ -133,8 +130,7 @@ type client struct {
 // handshake lands this client in the divergent subset and re-keys only
 // its edges. join returns the last round's error.
 func join(ctx context.Context, c *client) error {
-	record := c.sub.record(c.id)
-	sess, err := loadSession(c.sub, c.store, record)
+	sess, err := c.load()
 	if err != nil {
 		return err
 	}
@@ -151,7 +147,7 @@ func join(ctx context.Context, c *client) error {
 				return err
 			}
 		}
-		if roundErr = c.round(ctx, r, sess, record, conn); roundErr != nil {
+		if roundErr = c.round(ctx, r, sess, conn); roundErr != nil {
 			if ctx.Err() != nil {
 				return roundErr
 			}
@@ -164,9 +160,7 @@ func join(ctx context.Context, c *client) error {
 }
 
 // round runs one handshake and the round it commits.
-func (c *client) round(ctx context.Context, r int, sess clientSession, record string,
-	conn *transport.TCPClient) error {
-
+func (c *client) round(ctx context.Context, r int, sess clientSession, conn *transport.TCPClient) error {
 	hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
 		ID: c.id, Protocol: c.sub.handshake().Protocol, ServerPub: c.serverPub, Rand: rand.Reader,
 	}, sess, conn)
@@ -181,7 +175,7 @@ func (c *client) round(ctx context.Context, r int, sess clientSession, record st
 	if s, ok := sess.(interface{ SetNoiseEpoch(uint64) }); ok {
 		s.SetNoiseEpoch(hs.NoiseEpoch)
 	}
-	if err := saveSession(c.store, record, sess); err != nil {
+	if err := c.save(sess); err != nil {
 		return err
 	}
 	summary, err := c.sub.joinRound(ctx, c, hs, sess, conn)
@@ -189,7 +183,7 @@ func (c *client) round(ctx context.Context, r int, sess clientSession, record st
 		return err
 	}
 	// Persist again with the taint cleared: the next start may resume.
-	if err := saveSession(c.store, record, sess); err != nil {
+	if err := c.save(sess); err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "client %d round %d (%s): %s\n", c.id, r, describe(hs), summary)
@@ -197,16 +191,16 @@ func (c *client) round(ctx context.Context, r int, sess clientSession, record st
 	return nil
 }
 
-// loadSession restores the client's session record, or makes a fresh
-// session. A store auth failure (wrong -session-key-file, tampered
-// record) warns loudly: a silently fresh session would re-key every
-// round.
-func loadSession(sub substrate, store *sessionstore.Store, record string) (clientSession, error) {
-	if store != nil {
-		blob, err := store.Load(record)
+// load restores the client's stored session, or makes a fresh one. A
+// store auth failure (wrong -session-key-file, tampered record) warns
+// loudly: a silently fresh session would re-key every round.
+func (c *client) load() (clientSession, error) {
+	if c.store != nil {
+		record := c.sub.record(c.id)
+		blob, err := c.store.Load(record)
 		switch {
 		case err == nil:
-			sess, err := sub.clientSession(blob)
+			sess, err := c.sub.clientSession(blob)
 			if err == nil {
 				fmt.Printf("restored session %s from store\n", record)
 				return sess, nil
@@ -216,19 +210,19 @@ func loadSession(sub substrate, store *sessionstore.Store, record string) (clien
 			fmt.Fprintf(os.Stderr, "dordis-node: session store: %v — starting fresh\n", err)
 		}
 	}
-	return sub.clientSession(nil)
+	return c.sub.clientSession(nil)
 }
 
-// saveSession persists one session record (no-op without a store).
-func saveSession(store *sessionstore.Store, record string, sess clientSession) error {
-	if store == nil {
+// save persists the client's session (no-op without a store).
+func (c *client) save(sess clientSession) error {
+	if c.store == nil {
 		return nil
 	}
 	blob, err := sess.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	return store.Save(record, blob)
+	return c.store.Save(c.sub.record(c.id), blob)
 }
 
 func describe(hs core.Handshake) string {

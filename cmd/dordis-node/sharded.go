@@ -41,7 +41,7 @@ import (
 	"repro/internal/transport"
 )
 
-// subRoster derives the sub-roster of the shard this process serves:
+// subRoster derives the sub-roster of the shard this process serves —
 // -shard-id for a shard aggregator, the shard owning -id for a client —
 // from the contiguous plan every party derives from (-clients, -shards).
 func subRoster(o *options, ids []uint64) ([]uint64, error) {
@@ -49,13 +49,12 @@ func subRoster(o *options, ids []uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := int(o.shardID)
+	s, who := int(o.shardID), fmt.Sprintf("shard id %d", o.shardID)
 	if o.role == "client" {
-		if s = plan.ShardOf(o.id); s < 0 {
-			return nil, fmt.Errorf("client %d not in the sampled set", o.id)
-		}
-	} else if o.shardID >= uint64(o.shards) {
-		return nil, fmt.Errorf("shard id %d out of range [0, %d)", o.shardID, o.shards)
+		s, who = plan.ShardOf(o.id), fmt.Sprintf("client %d", o.id)
+	}
+	if s < 0 || s >= o.shards {
+		return nil, fmt.Errorf("%s is outside the %d-shard plan of -clients", who, o.shards)
 	}
 	return plan.Rosters[s], nil
 }
@@ -104,8 +103,7 @@ func runCombiner(ctx context.Context, srv *transport.TCPServer, o *options,
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("round %d: %s", r, formatReport(report))
-		printRecorderTip(rec)
+		fmt.Printf("round %d: %s%s", r, formatReport(report), tip(rec))
 	}
 	return report, nil
 }
