@@ -3,10 +3,10 @@
 // (Jiang, Wang, Chen — EuroSys 2024).
 //
 // The library lives under internal/; runnable entry points are
-// cmd/dordis (training CLI), cmd/dordis-node (TCP deployment: one round,
-// or a multi-round service with the re-key handshake and persistent
-// client sessions), cmd/dordis-bench (regenerates every table and
-// figure), and examples/ (indexed in examples/README.md). The root
+// cmd/dordis (training CLI), cmd/dordis-node (TCP deployment: a service
+// of one or more rounds, each after the re-key handshake, with
+// persistent client sessions), cmd/dordis-bench (regenerates every
+// table and figure), and examples/ (indexed in examples/README.md). The root
 // package exists to host the benchmark harness (bench_test.go), which
 // prints the same rows and series the paper reports.
 //
