@@ -128,7 +128,7 @@ type client struct {
 // the round, persist. A failed round is forfeited and the next one
 // re-dials: the stored session keeps its in-flight taint, so the next
 // handshake lands this client in the divergent subset and re-keys only
-// its edges. join returns the last round's error.
+// its edges; a failed last round is join's error.
 func join(ctx context.Context, c *client) error {
 	sess, err := c.load()
 	if err != nil {
@@ -140,23 +140,22 @@ func join(ctx context.Context, c *client) error {
 			conn.Close()
 		}
 	}()
-	var roundErr error
 	for r := 1; r <= c.rounds; r++ {
 		if conn == nil {
 			if conn, err = dial(ctx, c.addr, c.id); err != nil {
 				return err
 			}
 		}
-		if roundErr = c.round(ctx, r, sess, conn); roundErr != nil {
-			if ctx.Err() != nil {
-				return roundErr
+		if err := c.round(ctx, r, sess, conn); err != nil {
+			if ctx.Err() != nil || r == c.rounds {
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "dordis-node: client %d round %d failed: %v\n", c.id, r, roundErr)
+			fmt.Fprintf(os.Stderr, "dordis-node: client %d round %d failed: %v\n", c.id, r, err)
 			conn.Close()
 			conn = nil
 		}
 	}
-	return roundErr
+	return nil
 }
 
 // round runs one handshake and the round it commits.
