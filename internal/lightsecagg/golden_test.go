@@ -2,8 +2,12 @@ package lightsecagg
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/prg"
 )
 
 // Golden-byte pins for the persisted client-session encoding and the
@@ -93,4 +97,95 @@ func TestGoldenLSARosterHash(t *testing.T) {
 		t.Fatal("client session reports no state hash")
 	}
 	checkGolden(t, "lightsecagg roster hash", h[:], goldenRosterHash)
+}
+
+// readLog is a deterministic randomness source that is not a *prg.Stream
+// (so mask fills take the generic bulk-read path) and records the size of
+// every read, so the golden below pins the read pattern as well as the
+// bytes.
+type readLog struct {
+	s     *prg.Stream
+	sizes []int
+}
+
+func (r *readLog) Read(p []byte) (int, error) {
+	r.sizes = append(r.sizes, len(p))
+	return r.s.Read(p)
+}
+
+const (
+	goldenSealedShares = "c6dfa9b515903789f5db726d158f4c7696d9e647750f9920f64c26210f201359"
+	goldenShareReads   = "59b9a0563036b6f54bac6f8e2024482daed92881a72b2bdf45e78905dd5ce36c"
+)
+
+// TestGoldenLSASealedShares pins the share path's wire bytes: the mask
+// and coding-noise draws, the coded shares, the envelope layout and its
+// AES-GCM sealing (nonces included) of one client's SealShares, plus the
+// sequence of read sizes it made from its randomness source. A mask fill
+// of 5001 elements spans three bulk reads. Every recipient then opens its
+// envelope back into the coded share EncodeShares computes.
+func TestGoldenLSASealedShares(t *testing.T) {
+	cfg := testConfig(5, 1, 1, 5000)
+	cfg.Round = 7
+	kr := &goldenRand{}
+	sess := make(map[uint64]*Session, len(cfg.ClientIDs))
+	var roster []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		s, err := NewSession(kr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess[id] = s
+		roster = append(roster, AdvertiseMsg{From: id, Pub: s.PublicBytes()})
+	}
+	src := &readLog{s: prg.NewStream(prg.NewSeed([]byte("lsa-golden-shares")))}
+	c, err := NewSessionClient(cfg, 1, src, sess[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs, err := c.SealShares(roster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range envs {
+		var hdr [20]byte
+		binary.LittleEndian.PutUint64(hdr[0:], e.From)
+		binary.LittleEndian.PutUint64(hdr[8:], e.To)
+		binary.LittleEndian.PutUint32(hdr[16:], uint32(len(e.Ciphertext)))
+		h.Write(hdr[:])
+		h.Write(e.Ciphertext)
+	}
+	checkGolden(t, "sealed shares digest", h.Sum(nil), goldenSealedShares)
+	reads := sha256.New()
+	for _, n := range src.sizes {
+		reads.Write(binary.LittleEndian.AppendUint32(nil, uint32(n)))
+	}
+	checkGolden(t, "randomness read sizes digest", reads.Sum(nil), goldenShareReads)
+
+	shares, err := c.EncodeShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range envs {
+		r, err := NewSessionClient(cfg, e.To, rng("golden-recipient"), sess[e.To])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.SealShares(roster); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.OpenEnvelopes([]Envelope{e}); err != nil {
+			t.Fatal(err)
+		}
+		got, want := r.received[1], shares[e.To]
+		if len(got) != len(want) {
+			t.Fatalf("recipient %d: share length %d, want %d", e.To, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("recipient %d: share[%d] = %d, want %d", e.To, i, got[i], want[i])
+			}
+		}
+	}
 }
