@@ -373,8 +373,11 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Chunk pipeline state.
+	// Chunk pipeline state. A chunk's inputs are ring vectors on the
+	// secagg substrates and lifted field vectors on lightsecagg, built
+	// once either way.
 	chunkInputs := make([]map[uint64]ring.Vector, m)
+	chunkLifted := make([]map[uint64][]field.Element, m)
 	chunkSums := make([]ring.Vector, m)
 	var mu sync.Mutex
 	var firstErr error
@@ -390,33 +393,44 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	stageClient := func(c int) error {
 		// c-comp: assemble chunk inputs; survivors add their XNoise. The
 		// chunk geometry is read off the precomputed bounds — no per-chunk
-		// re-splitting of every client's full vector.
+		// re-splitting of every client's full vector — and one pair of
+		// noise buffers serves every client of the chunk.
 		lo, hi := bounds[c][0], bounds[c][1]
+		var total, comp []int64
+		if plan != nil {
+			total, comp = make([]int64, hi-lo), make([]int64, hi-lo)
+		}
 		inputs := make(map[uint64]ring.Vector, len(ids))
+		lifted := make(map[uint64][]field.Element, len(ids))
 		for i, id := range ids {
-			chunk := ring.Vector{
-				Bits: encoded[id].Bits,
-				Data: append([]uint64(nil), encoded[id].Data[lo:hi]...),
-			}
+			chunk := ring.Vector{Bits: encoded[id].Bits, Data: encoded[id].Data[lo:hi]}
+			var add []int64 // the client's XNoise total, nil for none
 			if plan != nil && aggregated(id) {
-				total, err := noise[c][i].client.TotalNoise(*plan, cfg.sampler(), chunk.Len())
-				if err != nil {
+				if err := noise[c][i].client.TotalNoiseInto(*plan, cfg.sampler(), total, comp); err != nil {
 					return setErr(err)
 				}
-				if err := chunk.AddSignedInPlace(total); err != nil {
+				add = total
+			}
+			if proto == ProtocolLightSecAgg {
+				lifted[id] = liftChunk(chunk, add)
+				continue
+			}
+			chunk.Data = append([]uint64(nil), chunk.Data...)
+			if add != nil {
+				if err := chunk.AddSignedInPlace(add); err != nil {
 					return setErr(err)
 				}
 			}
 			inputs[id] = chunk
 		}
-		chunkInputs[c] = inputs
+		chunkInputs[c], chunkLifted[c] = inputs, lifted
 		return nil
 	}
 	stageProtocol := func(c int) error {
 		// comm (+ the protocol's own compute): secure aggregation of the
 		// chunk.
 		if proto == ProtocolLightSecAgg {
-			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], schedule, rand, lsaSess)
+			sum, err := runLightSecAggChunk(cfg, c, ids, chunkLifted[c], schedule, rand, lsaSess)
 			if err != nil {
 				return setErr(fmt.Errorf("core: chunk %d aggregation: %w", c, err))
 			}
@@ -520,15 +534,30 @@ func lightSecAggSchedule(s secagg.DropSchedule) lightsecagg.DropSchedule {
 	return out
 }
 
+// liftChunk lifts a client's chunk plus its XNoise total (nil for none)
+// into GF(2^61−1) for the LightSecAgg substrate: each coordinate is the
+// ring value (chunk + noise mod 2^Bits), which lifts losslessly.
+func liftChunk(chunk ring.Vector, noise []int64) []field.Element {
+	m := chunk.Mask()
+	out := make([]field.Element, chunk.Len())
+	for i, w := range chunk.Data {
+		if noise != nil {
+			w = (w + uint64(noise[i])) & m
+		}
+		out[i] = field.New(w)
+	}
+	return out
+}
+
 // runLightSecAggChunk aggregates one chunk on the LightSecAgg substrate:
 // ring values lift losslessly into GF(2^61−1) (n·2^Bits < p, checked at
-// round start), the engine-backed in-process round sums them exactly, and
-// the sum reduces back mod 2^Bits — equal to the ring sum coordinate-wise
-// because reduction commutes with integer addition.
-func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[uint64]ring.Vector,
+// round start; liftChunk), the engine-backed in-process round sums them
+// exactly, and the sum reduces back mod 2^Bits — equal to the ring sum
+// coordinate-wise because reduction commutes with integer addition.
+func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, lifted map[uint64][]field.Element,
 	schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
 
-	dim := inputs[ids[0]].Len()
+	dim := len(lifted[ids[0]])
 	lcfg := lightsecagg.Config{
 		ClientIDs: ids,
 		PrivacyT:  len(ids) - cfg.Threshold,
@@ -537,14 +566,6 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 		// Distinct per sub-round so sealed-share envelopes of different
 		// chunks (and rounds) are AD-separated on shared session keys.
 		Round: cfg.Round*1000 + uint64(chunk),
-	}
-	lifted := make(map[uint64][]field.Element, len(ids))
-	for id, v := range inputs {
-		xs := make([]field.Element, len(v.Data))
-		for i, w := range v.Data {
-			xs[i] = field.New(w)
-		}
-		lifted[id] = xs
 	}
 	sum, err := lightsecagg.RunWithSessions(lcfg, lifted, lightSecAggSchedule(schedule), rand, sess)
 	if err != nil {

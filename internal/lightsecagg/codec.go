@@ -50,21 +50,25 @@ const (
 // decodeElems decodes a word slab (transport.DecodeSlab) into field
 // elements, reducing each word mod p.
 func decodeElems(src []byte) ([]field.Element, []byte, error) {
-	words, rest, err := transport.DecodeSlab(src)
+	out, rest, err := transport.DecodeSlabOf[field.Element](src)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]field.Element, len(words))
-	for i, w := range words {
-		out[i] = field.New(w)
+	for i, w := range out {
+		out[i] = field.New(uint64(w))
 	}
 	return out, rest, nil
 }
 
-// encodeShareVector is the AEAD plaintext layout of one coded share.
-func encodeShareVector(s []field.Element) []byte {
-	out, _ := transport.AppendSlab(make([]byte, 0, 4+8*len(s)), s)
-	return out
+// shareVectorLen is the byte length of an l-element share vector: the
+// slab count header, then the words.
+func shareVectorLen(l int) int { return 4 + 8*l }
+
+// appendShareVector appends the AEAD plaintext layout of one coded share
+// to dst. s may already sit where its words will land — dst's spare
+// capacity, just past the header — and is then encoded in place.
+func appendShareVector(dst []byte, s []field.Element) ([]byte, error) {
+	return transport.AppendSlab(dst, s)
 }
 
 func decodeShareVector(p []byte) ([]field.Element, error) {

@@ -75,9 +75,11 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/aead"
+	"repro/internal/endian"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/transcript"
@@ -256,12 +258,18 @@ type AggShareMsg struct {
 	S    []field.Element
 }
 
-// routeAD binds an envelope's round and (sender, recipient) route into
-// the AEAD associated data, so the relaying server can neither re-route
+// appendRouteAD appends an envelope's AEAD associated data,
+// "lsa/<round>/<from>/<to>" in decimal, to dst. It binds the round and the
+// (sender, recipient) route, so the relaying server can neither re-route
 // an envelope nor replay one from an earlier chunk or round of the same
 // session undetected.
-func routeAD(round, from, to uint64) []byte {
-	return []byte(fmt.Sprintf("lsa/%d/%d/%d", round, from, to))
+func appendRouteAD(dst []byte, round, from, to uint64) []byte {
+	dst = append(dst, "lsa/"...)
+	dst = strconv.AppendUint(dst, round, 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendUint(dst, from, 10)
+	dst = append(dst, '/')
+	return strconv.AppendUint(dst, to, 10)
 }
 
 // Client is one participant's round state machine. RunStages (stages.go)
@@ -290,6 +298,11 @@ type Client struct {
 	// received accumulates f_i(α_self) from every client i (including
 	// self).
 	received map[uint64][]field.Element
+
+	// ad and opened are the envelope associated-data and plaintext
+	// scratch, reused across envelopes (each opened share is decoded out
+	// of opened into its own vector).
+	ad, opened []byte
 }
 
 // NewClient draws the mask and coding noise from rand with a fresh
@@ -364,22 +377,22 @@ const uniformSegMin = 16384
 // splits into independently seeked segments across the worker pool
 // (prg.Stream.At — AES-CTR random access), still byte-identical to the
 // sequential expansion.
+//
+// Both paths expand in place: the reader's bytes (or the stream's words)
+// land in out's own memory and each word is then mapped to its element,
+// so a fill allocates nothing.
 func fillUniform(rand io.Reader, out []field.Element) error {
 	if s, ok := rand.(*prg.Stream); ok {
 		fillUniformSegmented(s, out)
 		return nil
 	}
-	buf := make([]byte, 8*uniformChunk)
 	for len(out) > 0 {
-		n := len(out)
-		if n > uniformChunk {
-			n = uniformChunk
-		}
-		b := buf[:8*n]
+		n := min(len(out), uniformChunk)
+		b := endian.Bytes(out[:n])
 		if _, err := io.ReadFull(rand, b); err != nil {
 			return fmt.Errorf("lightsecagg: reading mask randomness: %w", err)
 		}
-		for i := 0; i < n; i++ {
+		for i := range n {
 			out[i] = field.RandomElement([8]byte(b[8*i:]))
 		}
 		out = out[n:]
@@ -416,22 +429,14 @@ func fillUniformSegmented(s *prg.Stream, out []field.Element) {
 	s.Seek(base + 8*uint64(len(out)))
 }
 
-// fillUniformSpan sequentially expands out from s via bulk word draws.
+// fillUniformSpan sequentially expands out from s: one bulk word draw
+// into out's memory, then each word mapped to its element in place.
 func fillUniformSpan(s *prg.Stream, out []field.Element) {
-	var words [uniformChunk]uint64
-	for len(out) > 0 {
-		n := len(out)
-		if n > uniformChunk {
-			n = uniformChunk
-		}
-		ws := words[:n]
-		s.FillUint64(ws)
-		for i, w := range ws {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], w)
-			out[i] = field.RandomElement(b)
-		}
-		out = out[n:]
+	s.FillUint64(endian.Words[uint64](endian.Bytes(out)))
+	for i, w := range out {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(w))
+		out[i] = field.RandomElement(b)
 	}
 }
 
@@ -448,13 +453,9 @@ const encTile = 1024
 
 // EncodeShares returns the coded mask share f_i(α_j) for every client j
 // (including self) — the plaintext of the offline-sharing message of step
-// 1. Wire and in-process drivers seal these via SealShares; the plaintext
-// form is exported for white-box tests and the cost model.
-//
-// The n×U Lagrange matrix–vector product is blocked over the sub-vector
-// (encTile) for cache reuse across ranks, and each tile runs through
-// field.WeightedSumInto's deferred-reduction kernel — one reduction per
-// output element instead of one per term.
+// 1. Wire and in-process drivers seal these via SealShares, which encodes
+// them straight into its envelopes; the plaintext form is exported for
+// white-box tests and the cost model.
 func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 	enc, err := c.session.matrix(c.cfg)
 	if err != nil {
@@ -467,12 +468,21 @@ func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 		shares[rank] = make([]field.Element, l)
 		out[id] = shares[rank]
 	}
+	c.encodeSharesInto(enc, shares)
+	return out, nil
+}
+
+// encodeSharesInto writes the coded share of the client at each rank into
+// shares[rank] (SubVectorLen long). The n×U Lagrange matrix–vector
+// product is blocked over the sub-vector (encTile) for cache reuse across
+// ranks, and each tile runs through field.WeightedSumInto's
+// deferred-reduction kernel — one reduction per output element instead
+// of one per term.
+func (c *Client) encodeSharesInto(enc *encodingMatrix, shares [][]field.Element) {
+	l := c.cfg.SubVectorLen()
 	tile := make([][]field.Element, len(c.pieces))
 	for base := 0; base < l; base += encTile {
-		hi := base + encTile
-		if hi > l {
-			hi = l
-		}
+		hi := min(base+encTile, l)
 		for k, piece := range c.pieces {
 			tile[k] = piece[base:hi]
 		}
@@ -480,7 +490,6 @@ func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 			field.WeightedSumInto(shares[rank][base:hi], enc.w[rank], tile)
 		}
 	}
-	return out, nil
 }
 
 // encodeSharesNaive is the pre-blocking reference implementation (one
@@ -511,30 +520,53 @@ func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
 // keys, and returns one AEAD envelope per peer carrying that peer's coded
 // share — the step-1 upload. The associated data binds sender and
 // recipient so the relaying server cannot re-route envelopes undetected.
+//
+// Every envelope lives in one slab, one slot per peer: nonce headroom,
+// the share-vector plaintext and the tag's room. The coded shares are
+// encoded straight into their slots' word regions, the share-vector
+// header is written in front of them in place, and each slot is sealed
+// in place under the peer's cached cipher, so sealing n envelopes costs
+// a handful of allocations in all.
 func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 	if err := c.installRoster(roster); err != nil {
 		return nil, err
 	}
-	shares, err := c.EncodeShares()
+	enc, err := c.session.matrix(c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Envelope, 0, len(shares))
-	for _, to := range c.cfg.ClientIDs {
+	// A slot (12 + 4 + 8·l + 16 bytes) is a multiple of 8 and its words
+	// start 16 bytes in, so every share view is 8-byte aligned.
+	l := c.cfg.SubVectorLen()
+	slot := aead.NonceSize + shareVectorLen(l) + aead.TagSize
+	slab := make([]byte, len(c.cfg.ClientIDs)*slot)
+	shares := make([][]field.Element, len(c.cfg.ClientIDs))
+	for rank := range shares {
+		at := rank*slot + aead.NonceSize + shareVectorLen(0)
+		shares[rank] = endian.Words[field.Element](slab[at : at+8*l])
+	}
+	c.encodeSharesInto(enc, shares)
+
+	out := make([]Envelope, len(c.cfg.ClientIDs))
+	for rank, to := range c.cfg.ClientIDs {
 		pub, ok := c.roster[to]
 		if !ok {
 			return nil, fmt.Errorf("lightsecagg: no channel key for peer %d", to)
 		}
-		key, err := c.session.channelKey(pub)
+		g, err := c.session.channelCipher(pub)
 		if err != nil {
 			return nil, err
 		}
-		pt := encodeShareVector(shares[to])
-		ct, err := aead.Seal(key, c.rand, pt, routeAD(c.cfg.Round, c.id, to))
+		buf, err := appendShareVector(slab[rank*slot:rank*slot+aead.NonceSize:(rank+1)*slot], shares[rank])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Envelope{From: c.id, To: to, Ciphertext: ct})
+		c.ad = appendRouteAD(c.ad[:0], c.cfg.Round, c.id, to)
+		ct, err := aead.SealInPlace(g, c.rand, buf, c.ad)
+		if err != nil {
+			return nil, err
+		}
+		out[rank] = Envelope{From: c.id, To: to, Ciphertext: ct}
 	}
 	return out, nil
 }
@@ -572,14 +604,16 @@ func (c *Client) OpenEnvelopes(envs []Envelope) error {
 		if !ok {
 			return fmt.Errorf("lightsecagg: envelope from unknown peer %d", env.From)
 		}
-		key, err := c.session.channelKey(pub)
+		g, err := c.session.channelCipher(pub)
 		if err != nil {
 			return err
 		}
-		pt, err := aead.Open(key, env.Ciphertext, routeAD(c.cfg.Round, env.From, c.id))
+		c.ad = appendRouteAD(c.ad[:0], c.cfg.Round, env.From, c.id)
+		pt, err := aead.OpenTo(g, c.opened[:0], env.Ciphertext, c.ad)
 		if err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d failed authentication: %w", env.From, err)
 		}
+		c.opened = pt
 		share, err := decodeShareVector(pt)
 		if err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d: %w", env.From, err)

@@ -12,7 +12,8 @@ import (
 // Versioned binary persistence for client sessions, mirroring
 // secagg/persist.go. Serialized: the X25519 channel private scalar, the
 // cached pairwise channel secrets, and the cached stage-0 roster. Never
-// serialized: masks (LightSecAgg's masks are fresh uniform one-time pads
+// serialized: the cached AES-GCM instances (rebuilt from the secrets on
+// first use), masks (LightSecAgg's masks are fresh uniform one-time pads
 // drawn per round and consumed immediately — there is nothing to resume),
 // coded shares, and the encoding matrix (a geometry-only cache rebuilt on
 // first use). The plaintext holds a raw private key; wrap it with
@@ -85,7 +86,7 @@ func UnmarshalSession(p []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{key: key, channel: make(map[string][dh.SharedSize]byte)}
+	s := newSession(key)
 	next := binary.LittleEndian.Uint64(src)
 	src = src[8:]
 

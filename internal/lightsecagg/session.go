@@ -2,6 +2,7 @@ package lightsecagg
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,7 +52,12 @@ type Session struct {
 
 	mu      sync.Mutex
 	channel map[string][dh.SharedSize]byte // peer channel pub → agreed secret
-	enc     *encodingMatrix                // cached Lagrange encoding matrix
+	// ciphers caches the AES-GCM instance keyed by each channel secret, so
+	// the n envelopes a client seals and opens per round reuse one key
+	// schedule per peer. It is derived from channel, so it is dropped
+	// with it and never persisted.
+	ciphers map[string]cipher.AEAD
+	enc     *encodingMatrix // cached Lagrange encoding matrix
 }
 
 // NewSession generates the session's channel key pair with randomness
@@ -61,10 +67,15 @@ func NewSession(rand io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSession(key), nil
+}
+
+func newSession(key *dh.KeyPair) *Session {
 	return &Session{
 		key:     key,
 		channel: make(map[string][dh.SharedSize]byte),
-	}, nil
+		ciphers: make(map[string]cipher.AEAD),
+	}
 }
 
 // PublicBytes returns the session's advertised channel public key.
@@ -83,23 +94,52 @@ func (s *Session) keyPair() *dh.KeyPair {
 // for concurrent use — the in-process driver runs clients as goroutines
 // over shared sessions.
 func (s *Session) channelKey(peerPub []byte) ([aead.KeySize]byte, error) {
-	k := string(peerPub)
 	s.mu.Lock()
-	sec, ok := s.channel[k]
+	sec, ok := s.channel[string(peerPub)]
+	key := s.key
 	s.mu.Unlock()
 	if ok {
 		return sec, nil
 	}
 	// Agreement runs outside the lock (it is the expensive part and
 	// deterministic, so a racing duplicate computes the identical value).
-	sec, err := s.keyPair().Agree(peerPub)
+	sec, err := key.Agree(peerPub)
 	if err != nil {
 		return sec, err
 	}
 	s.mu.Lock()
-	s.channel[k] = sec
+	if s.key == key { // a concurrent Rekey made this secret stale
+		s.channel[string(peerPub)] = sec
+	}
 	s.mu.Unlock()
 	return sec, nil
+}
+
+// channelCipher returns the cached AES-GCM instance for the channel with
+// the peer identified by its channel public key, building it from
+// channelKey on first use. Like channelKey it is safe for concurrent use,
+// and an instance is cached only while its secret is still the peer's
+// current one, so Rekey and RekeyEdges never leave a stale cipher behind.
+func (s *Session) channelCipher(peerPub []byte) (cipher.AEAD, error) {
+	s.mu.Lock()
+	g, ok := s.ciphers[string(peerPub)]
+	s.mu.Unlock()
+	if ok {
+		return g, nil
+	}
+	sec, err := s.channelKey(peerPub)
+	if err != nil {
+		return nil, err
+	}
+	if g, err = aead.NewCipher(sec); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if cur, ok := s.channel[string(peerPub)]; ok && cur == sec {
+		s.ciphers[string(peerPub)] = g
+	}
+	s.mu.Unlock()
+	return g, nil
 }
 
 // Taint, ClearTaint and Tainted exist for handshake symmetry with
@@ -112,7 +152,7 @@ func (s *Session) ClearTaint()   {}
 func (s *Session) Tainted() bool { return false }
 
 // Rekey replaces the session's channel key pair and drops the cached
-// secrets, the roster, and the rounds-served counter. The geometry-only
+// secrets and ciphers, the roster, and the rounds-served counter. The geometry-only
 // caches (the Lagrange encoding matrix) survive: they are
 // key-independent.
 func (s *Session) Rekey(rand io.Reader) error {
@@ -123,6 +163,7 @@ func (s *Session) Rekey(rand io.Reader) error {
 	s.mu.Lock()
 	s.key = key
 	clear(s.channel)
+	clear(s.ciphers)
 	s.mu.Unlock()
 	s.Reset()
 	return nil
@@ -139,6 +180,7 @@ func (s *Session) RekeyEdges(ids []uint64) {
 	s.mu.Lock()
 	for _, m := range dropped {
 		delete(s.channel, string(m.Pub))
+		delete(s.ciphers, string(m.Pub))
 	}
 	s.mu.Unlock()
 }

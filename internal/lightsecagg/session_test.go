@@ -3,11 +3,14 @@ package lightsecagg
 import (
 	"context"
 	"crypto/rand"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/field"
 	"repro/internal/transport"
 )
 
@@ -403,4 +406,162 @@ func BenchmarkRecoveryWeights(b *testing.B) {
 			}
 		}
 	})
+}
+
+// cipherCacheFixture seals client 1's shares over a fresh session set and
+// returns the sessions, the roster and the envelope addressed to client 2.
+func cipherCacheFixture(t *testing.T, cfg Config) (*RoundSessions, []AdvertiseMsg, Envelope) {
+	t.Helper()
+	sess, err := NewRoundSessions(cfg.ClientIDs, rng("cipher-cache-keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := NewSessionClient(cfg, 1, rng("cipher-cache-sender"), sess.Client[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs, err := sender.SealShares(rosterOf(cfg, sess))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range envs {
+		if e.To == 2 {
+			return sess, rosterOf(cfg, sess), e
+		}
+	}
+	t.Fatal("no envelope for client 2")
+	return nil, nil, Envelope{}
+}
+
+func rosterOf(cfg Config, sess *RoundSessions) []AdvertiseMsg {
+	var roster []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		roster = append(roster, AdvertiseMsg{From: id, Pub: sess.Client[id].PublicBytes()})
+	}
+	return roster
+}
+
+// openAs opens env as client id over sess, returning the decoded share.
+func openAs(t *testing.T, cfg Config, id uint64, sess *Session, roster []AdvertiseMsg, env Envelope) ([]field.Element, error) {
+	t.Helper()
+	c, err := NewSessionClient(cfg, id, rng("cipher-cache-recipient"), sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SealShares(roster); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.OpenEnvelopes([]Envelope{env}); err != nil {
+		return nil, err
+	}
+	return c.received[env.From], nil
+}
+
+// TestRekeyDropsCachedCipher: the per-peer AES-GCM cache is keyed by the
+// channel secret's lifetime — after Session.Rekey an envelope sealed
+// under the old channel key must fail authentication, even though the
+// recipient opened it (and so cached the old cipher) just before.
+func TestRekeyDropsCachedCipher(t *testing.T) {
+	cfg := testConfig(4, 1, 1, 64)
+	sess, roster, env := cipherCacheFixture(t, cfg)
+	if _, err := openAs(t, cfg, 2, sess.Client[2], roster, env); err != nil {
+		t.Fatalf("live envelope rejected: %v", err)
+	}
+	if err := sess.Client[2].Rekey(rng("cipher-cache-rekey")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openAs(t, cfg, 2, sess.Client[2], rosterOf(cfg, sess), env); err == nil {
+		t.Fatal("envelope sealed under the pre-Rekey channel key authenticated")
+	}
+}
+
+// TestRestoredSessionOpensLiveEnvelopes: the cipher cache is never
+// persisted; a session restored from its persisted form rebuilds the
+// ciphers from the restored secrets and opens the envelopes the live
+// session opens, to the same share.
+func TestRestoredSessionOpensLiveEnvelopes(t *testing.T) {
+	cfg := testConfig(4, 1, 1, 64)
+	sess, roster, env := cipherCacheFixture(t, cfg)
+	live, err := openAs(t, cfg, 2, sess.Client[2], roster, env)
+	if err != nil {
+		t.Fatalf("live session: %v", err)
+	}
+	blob, err := sess.Client[2].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := UnmarshalSession(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := openAs(t, cfg, 2, restored, roster, env)
+	if err != nil {
+		t.Fatalf("restored session: %v", err)
+	}
+	if len(got) != len(live) {
+		t.Fatalf("restored share length %d, live %d", len(got), len(live))
+	}
+	for i := range live {
+		if got[i] != live[i] {
+			t.Fatalf("share[%d]: restored %d, live %d", i, got[i], live[i])
+		}
+	}
+}
+
+// TestChannelCipherConcurrentRekey: goroutines fetching cached ciphers
+// while another re-keys the session must never leave a cipher cached
+// under a secret that is no longer the peer's current one.
+func TestChannelCipherConcurrentRekey(t *testing.T) {
+	s, err := NewSession(rng("concurrent-self"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers [][]byte
+	for i := 0; i < 4; i++ {
+		p, err := NewSession(rng(fmt.Sprintf("concurrent-peer-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, p.PublicBytes())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rekeys := rng(fmt.Sprintf("concurrent-rekey-%d", g))
+			for i := 0; i < 40; i++ {
+				if g == 0 && i%8 == 0 {
+					if err := s.Rekey(rekeys); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if _, err := s.channelCipher(peers[(g+i)%len(peers)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	ad := []byte("concurrent")
+	for i, p := range peers {
+		g, err := s.channelCipher(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := s.channelKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := aead.SealInPlace(g, rng("concurrent-nonce"), make([]byte, aead.NonceSize+8, aead.Overhead+8), ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := aead.Open(sec, ct, ad); err != nil {
+			t.Fatalf("peer %d: cached cipher does not match the current channel secret", i)
+		}
+	}
 }

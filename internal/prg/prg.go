@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"unsafe"
 
 	"repro/internal/endian"
 	"repro/internal/field"
@@ -173,8 +172,26 @@ func (s *Stream) FillUint64(dst []uint64) {
 	if len(dst) == 0 {
 		return
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*8)
+	b := endian.Bytes(dst)
 	s.Fill(b)
+	if !endian.HostLittle {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(b[i*8:])
+		}
+	}
+}
+
+// ReadUint64 is FillUint64 served through the stream's lookahead buffer
+// (Read) instead of keystreaming into dst: the draw sequence and the
+// consumed byte count are identical, but dst never reaches the cipher, so
+// a caller's stack buffer stays on the stack. It suits short refills (the
+// samplers' uniform batches); bulk expansion should use FillUint64.
+func (s *Stream) ReadUint64(dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	b := endian.Bytes(dst)
+	s.Read(b)
 	if !endian.HostLittle {
 		for i := range dst {
 			dst[i] = binary.LittleEndian.Uint64(b[i*8:])

@@ -52,38 +52,68 @@ func Poisson(s *prg.Stream, lambda float64) int64 {
 		return 0
 	}
 	ps := newPoissonSampler(lambda)
-	return ps.draw(s.Float64)
+	u := scalarUniforms(s)
+	return ps.draw(&u)
 }
 
-// uniformBatch prefetches uniform draws in bulk (FillUint64) so the
-// variable-rate consumers below pay the cipher's bulk rate rather than one
-// buffered 8-byte read per draw. Prefetching consumes the underlying
-// stream in batch quanta: the draw VALUE sequence is identical to scalar
-// Float64 calls, but the stream position after a vector fill is not —
-// vector samplers therefore require a dedicated stream (which is how every
-// protocol call site uses them: one seed-derived stream per noise
-// component).
-type uniformBatch struct {
+// uniformBatchWords is the prefetch quantum of the vector samplers: a
+// vector fill consumes its stream in whole batches of this many words.
+const uniformBatchWords = 512
+
+// uniforms is the uniform source every sampler draws from. In batch mode
+// (newBatch) it prefetches uniformBatchWords stream words per refill, so
+// the variable-rate consumers below pay the cipher's bulk rate rather
+// than one buffered 8-byte read per draw; in scalar mode (scalarUniforms)
+// a refill reads the one word the next draw needs. Both modes yield the
+// same value sequence, unit(word) over consecutive stream words. The hot
+// loops (the Knuth product, the inversion table walk) read buf directly
+// and the rest call next, so no draw pays an indirect call; the batch
+// lives inside the struct, so a source declared in a vector fill stays on
+// that fill's stack.
+//
+// Stream consumption differs: a batch fill consumes the stream in
+// uniformBatchWords quanta, so the stream position after a vector fill is
+// not that of the equivalent scalar draws. Vector samplers therefore
+// require a dedicated stream, which is how every protocol call site uses
+// them: one seed-derived stream per noise component.
+type uniforms struct {
 	s   *prg.Stream
-	buf [512]uint64
-	pos int
+	n   int // words per refill: uniformBatchWords, or 1 in scalar mode
+	pos int // next unread word of buf[:n]; n when empty
+	buf [uniformBatchWords]uint64
 }
 
-func newUniformBatch(s *prg.Stream) *uniformBatch {
-	b := &uniformBatch{s: s}
-	b.pos = len(b.buf)
-	return b
+// newBatch returns a batch-mode source over s, starting empty.
+func newBatch(s *prg.Stream) uniforms {
+	return uniforms{s: s, n: uniformBatchWords, pos: uniformBatchWords}
 }
 
-func (b *uniformBatch) float64() float64 {
-	if b.pos == len(b.buf) {
-		b.s.FillUint64(b.buf[:])
-		b.pos = 0
+// scalarUniforms returns a source that reads one stream word per draw.
+func scalarUniforms(s *prg.Stream) uniforms {
+	return uniforms{s: s, n: 1, pos: 1}
+}
+
+// refill restocks the empty buffer with the next n stream words.
+func (u *uniforms) refill() {
+	u.s.ReadUint64(u.buf[:u.n])
+	u.pos = 0
+}
+
+// next returns the next uniform in [0, 1).
+func (u *uniforms) next() float64 {
+	if u.pos == u.n {
+		u.refill()
 	}
-	v := b.buf[b.pos]
-	b.pos++
-	return float64(v>>11) / (1 << 53)
+	w := u.buf[u.pos]
+	u.pos++
+	return unit(w)
 }
+
+// unit maps a stream word to a uniform in [0, 1) with 53 bits of
+// precision, the value prg.Stream.Float64 returns for it. w>>11 < 2^53
+// converts exactly through int64, which compiles to one instruction where
+// the unsigned conversion needs a branch.
+func unit(w uint64) float64 { return float64(int64(w>>11)) / (1 << 53) }
 
 // poissonSampler holds the λ-dependent constants of both Poisson
 // algorithms so vector fills with a fixed λ compute them once, not per
@@ -112,16 +142,23 @@ func newPoissonSampler(lambda float64) poissonSampler {
 	return ps
 }
 
-// draw produces one variate, consuming uniforms from next. The draw
+// draw produces one variate, consuming uniforms from u. The draw
 // sequence is identical to the seed implementation's
 // poissonKnuth/poissonPTRS.
-func (ps *poissonSampler) draw(next func() float64) int64 {
+func (ps *poissonSampler) draw(u *uniforms) int64 {
 	if ps.knuth {
 		var k int64
 		p := 1.0
+		pos := u.pos
 		for {
-			p *= next()
+			if pos == u.n {
+				u.refill()
+				pos = 0
+			}
+			p *= unit(u.buf[pos])
+			pos++
 			if p <= ps.limit {
+				u.pos = pos
 				return k
 			}
 			k++
@@ -130,8 +167,8 @@ func (ps *poissonSampler) draw(next func() float64) int64 {
 	// PTRS: transformed rejection with squeeze, the same variant used by
 	// NumPy's generator.
 	for {
-		uu := next() - 0.5
-		v := next()
+		uu := u.next() - 0.5
+		v := u.next()
 		us := 0.5 - math.Abs(uu)
 		kf := math.Floor((2*ps.a/us+ps.b)*uu + ps.lambda + 0.43)
 		if us >= 0.07 && v <= ps.vr {
@@ -155,17 +192,20 @@ func Skellam(s *prg.Stream, mu float64) int64 {
 	if mu <= 0 {
 		return 0
 	}
-	return Poisson(s, mu/2) - Poisson(s, mu/2)
+	ps := newPoissonSampler(mu / 2)
+	u := scalarUniforms(s)
+	return ps.draw(&u) - ps.draw(&u)
 }
 
 // SkellamVector fills out with iid Skellam(mu) samples. The λ-dependent
 // sampler constants are computed once for the whole vector and the
-// uniforms are prefetched in bulk, so a fill runs at the PRG's bulk rate.
+// uniforms are prefetched in bulk into a stack buffer, so a fill runs at
+// the PRG's bulk rate and allocates nothing.
 //
-// Stream-consumption contract: the underlying stream is consumed in batch
-// quanta (leftover prefetched draws are discarded at the end of the fill),
-// so the stream position afterwards differs from a loop of Skellam(s, mu)
-// calls. The samples are iid Skellam(mu) either way, but callers needing
+// Stream-consumption contract: the underlying stream is consumed in
+// uniformBatchWords quanta (leftover prefetched draws are discarded at the
+// end of the fill), so the stream position afterwards differs from a loop
+// of Skellam(s, mu) calls. The samples are iid Skellam(mu) either way, but callers needing
 // two parties to regenerate identical noise must give each vector fill a
 // dedicated seed-derived stream — the XNoise add/remove path does exactly
 // that (one stream per noise component, xnoise.ComponentNoise). Call sites
@@ -180,9 +220,9 @@ func SkellamVector(s *prg.Stream, mu float64, out []int64) {
 		return
 	}
 	ps := newPoissonSampler(mu / 2)
-	next := newUniformBatch(s).float64
+	u := newBatch(s)
 	for i := range out {
-		out[i] = ps.draw(next) - ps.draw(next)
+		out[i] = ps.draw(&u) - ps.draw(&u)
 	}
 }
 

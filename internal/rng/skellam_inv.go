@@ -129,11 +129,15 @@ func buildSkellamTable(mu float64) *skellamTable {
 
 // draw produces one Skellam variate from a single uniform on the central
 // band; guard-band uniforms defer to the exact sampler (two Poisson
-// draws).
-func (t *skellamTable) draw(next func() float64) int64 {
-	u := next()
+// draws from the same source).
+func (t *skellamTable) draw(src *uniforms) int64 {
+	if src.pos == src.n {
+		src.refill()
+	}
+	u := unit(src.buf[src.pos])
+	src.pos++
 	if u < t.uLo || u >= t.uHi {
-		return t.exact.draw(next) - t.exact.draw(next)
+		return t.exact.draw(src) - t.exact.draw(src)
 	}
 	i := int(t.guide[int(u*float64(len(t.guide)))])
 	for t.cdf[i] <= u {
@@ -152,7 +156,8 @@ func SkellamInv(s *prg.Stream, mu float64) int64 {
 	if mu > InvMaxMu {
 		return Skellam(s, mu)
 	}
-	return skellamTableFor(mu).draw(s.Float64)
+	u := scalarUniforms(s)
+	return skellamTableFor(mu).draw(&u)
 }
 
 // SkellamVectorInv fills out with iid Skellam(mu) samples by CDF inversion
@@ -173,8 +178,8 @@ func SkellamVectorInv(s *prg.Stream, mu float64, out []int64) {
 		return
 	}
 	t := skellamTableFor(mu)
-	next := newUniformBatch(s).float64
+	u := newBatch(s)
 	for i := range out {
-		out[i] = t.draw(next)
+		out[i] = t.draw(&u)
 	}
 }

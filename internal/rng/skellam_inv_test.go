@@ -118,36 +118,49 @@ func TestSkellamInvGuardBand(t *testing.T) {
 	// uniforms for the exact fallback draws.
 	s := stream("guard-band")
 	for _, trigger := range []float64{0, invGuardMass / 2, tab.uHi, math.Nextafter(1, 0)} {
-		calls := 0
-		next := func() float64 {
-			calls++
-			if calls == 1 {
-				return trigger
-			}
-			return s.Float64()
-		}
-		v := tab.draw(next)
-		if calls < 2 {
-			t.Errorf("guard trigger %v: exact fallback not taken (%d uniforms)", trigger, calls)
+		w := wordAtLeast(trigger)
+		src := scripted(s, w)
+		before := s.Offset()
+		v := tab.draw(&src)
+		if calls := 1 + (s.Offset()-before)/8; calls < 2 {
+			t.Errorf("guard trigger %v: exact fallback not taken (%d uniforms)", unit(w), calls)
 		}
 		if math.Abs(float64(v)) > 40*math.Sqrt(mu) {
-			t.Errorf("guard trigger %v: implausible variate %d", trigger, v)
+			t.Errorf("guard trigger %v: implausible variate %d", unit(w), v)
 		}
 	}
 
 	// Just inside the served band: one uniform, extreme table entries.
-	for _, tc := range []struct {
-		u    float64
-		want int64
-	}{
-		{tab.uLo, tab.kmin + int64(firstAbove(tab.cdf, tab.uLo))},
-		{math.Nextafter(tab.uHi, 0), tab.kmin + int64(firstAbove(tab.cdf, math.Nextafter(tab.uHi, 0)))},
-	} {
-		got := tab.draw(func() float64 { return tc.u })
-		if got != tc.want {
-			t.Errorf("u=%v: draw %d, want %d", tc.u, got, tc.want)
+	for _, w := range []uint64{wordAtLeast(tab.uLo), wordAtLeast(math.Nextafter(tab.uHi, 0))} {
+		u := unit(w)
+		if u < tab.uLo || u >= tab.uHi {
+			t.Fatalf("u=%v is outside the served band [%v, %v)", u, tab.uLo, tab.uHi)
+		}
+		want := tab.kmin + int64(firstAbove(tab.cdf, u))
+		src := scripted(s, w)
+		before := s.Offset()
+		if got := tab.draw(&src); got != want {
+			t.Errorf("u=%v: draw %d, want %d", u, got, want)
+		}
+		if s.Offset() != before {
+			t.Errorf("u=%v: in-band draw read the stream", u)
 		}
 	}
+}
+
+// wordAtLeast returns the stream word whose uniform (unit) is the
+// smallest one at or above u.
+func wordAtLeast(u float64) uint64 {
+	return uint64(math.Ceil(u*(1<<53))) << 11
+}
+
+// scripted returns a scalar-mode source whose first draw is w and whose
+// later draws read s one word at a time.
+func scripted(s *prg.Stream, w uint64) uniforms {
+	u := scalarUniforms(s)
+	u.buf[0] = w
+	u.pos = 0
+	return u
 }
 
 func firstAbove(cdf []float64, u float64) int {
@@ -213,7 +226,7 @@ func TestSkellamVectorStreamPositionContract(t *testing.T) {
 		sv := stream("stream-pos-" + f.name)
 		out := make([]int64, n)
 		f.fill(sv, out)
-		const quantum = 512 * 8 // uniformBatch prefetch in bytes
+		const quantum = uniformBatchWords * 8 // batch prefetch in bytes
 		if sv.Offset()%quantum != 0 {
 			t.Errorf("%s: position %d after fill is not a batch quantum multiple", f.name, sv.Offset())
 		}
@@ -240,7 +253,7 @@ func TestSkellamVectorStreamPositionContract(t *testing.T) {
 func BenchmarkSkellamVector(b *testing.B) {
 	const dim = 4096
 	out := make([]int64, dim)
-	for _, mu := range []float64{16, 80, 1024} {
+	for _, mu := range []float64{100.0 / 992, 3.125, 16, 80, 1024} {
 		b.Run(fmt.Sprintf("epoch0/mu=%v", mu), func(b *testing.B) {
 			s := stream("bench-skellam-e0")
 			b.ResetTimer()

@@ -3,6 +3,7 @@ package skellam
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/prg"
 )
@@ -34,28 +35,39 @@ func fwht(x []float64) {
 	}
 }
 
-// signDiagonal expands a ±1 diagonal of the given length from the seed.
-// All clients of a round share the seed, so they apply the same rotation —
-// a requirement for the rotated coordinates to aggregate meaningfully.
-func signDiagonal(seed prg.Seed, n int) []float64 {
-	s := prg.NewStream(seed)
-	d := make([]float64, n)
-	var word uint64
-	bits := 0
-	for i := range d {
-		if bits == 0 {
-			word = s.Uint64()
-			bits = 64
-		}
-		if word&1 == 1 {
-			d[i] = 1
-		} else {
-			d[i] = -1
-		}
-		word >>= 1
-		bits--
+// signCache holds the last expanded sign diagonal. Every client of a
+// round rotates under the round's one seed, so one entry serves a round's
+// encodes; a different seed replaces it.
+type signCache struct {
+	seed  prg.Seed
+	words []uint64
+}
+
+var lastSigns atomic.Pointer[signCache]
+
+// signWords returns the ±1 diagonal for the first p coordinates of the
+// rotation seeded by seed, packed 64 signs per word: bit i%64 of word i/64
+// set means +1. The words are the seed stream's first ⌈p/64⌉ draws, so a
+// longer expansion extends a shorter one. All clients of a round share
+// the seed, so they apply the same rotation — a requirement for the
+// rotated coordinates to aggregate meaningfully.
+func signWords(seed prg.Seed, p int) []uint64 {
+	n := (p + 63) / 64
+	if c := lastSigns.Load(); c != nil && c.seed == seed && len(c.words) >= n {
+		return c.words[:n]
 	}
-	return d
+	s := prg.NewStream(seed)
+	words := make([]uint64, n)
+	for i := range words {
+		words[i] = s.Uint64()
+	}
+	lastSigns.Store(&signCache{seed: seed, words: words})
+	return words
+}
+
+// negative reports whether the diagonal entry of coordinate i is −1.
+func negative(signs []uint64, i int) bool {
+	return signs[i/64]>>(i%64)&1 == 0
 }
 
 // Rotate applies the seeded randomized Hadamard transform (1/√p)·H·D to x,
@@ -67,18 +79,32 @@ func signDiagonal(seed prg.Seed, n int) []float64 {
 // per-coordinate ranges with the signal-bound multiplier k (paper §6.1,
 // k = 3).
 func Rotate(seed prg.Seed, x []float64) []float64 {
-	p := nextPow2(len(x))
-	buf := make([]float64, p)
-	d := signDiagonal(seed, p)
-	for i, v := range x {
-		buf[i] = v * d[i]
-	}
-	fwht(buf)
-	inv := 1 / math.Sqrt(float64(p))
-	for i := range buf {
-		buf[i] *= inv
-	}
+	buf := make([]float64, nextPow2(len(x)))
+	rotateInto(buf, seed, x, 1, 1)
 	return buf
+}
+
+// rotateInto writes post·(1/√p)·H·D·(pre·x) into dst, whose length p is
+// the padded dimension. Each coordinate is multiplied in exactly that
+// order — pre, the ±1 sign, the transform, 1/√p, post — so a factor of 1
+// leaves every value bit-identical to omitting it (Rotate), and Encode's
+// clip factor and grid scale ride along in the same passes instead of
+// passes of their own.
+func rotateInto(dst []float64, seed prg.Seed, x []float64, pre, post float64) {
+	signs := signWords(seed, len(dst))
+	for i, v := range x {
+		v *= pre
+		if negative(signs, i) {
+			v = -v
+		}
+		dst[i] = v
+	}
+	clear(dst[len(x):])
+	fwht(dst)
+	inv := 1 / math.Sqrt(float64(len(dst)))
+	for i := range dst {
+		dst[i] = dst[i] * inv * post
+	}
 }
 
 // Unrotate inverts Rotate, returning the first dim coordinates:
@@ -92,10 +118,14 @@ func Unrotate(seed prg.Seed, y []float64, dim int) []float64 {
 	copy(buf, y)
 	fwht(buf)
 	inv := 1 / math.Sqrt(float64(p))
-	d := signDiagonal(seed, p)
-	out := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		out[i] = buf[i] * inv * d[i]
+	signs := signWords(seed, p)
+	out := buf[:dim:dim]
+	for i := range out {
+		v := buf[i] * inv
+		if negative(signs, i) {
+			v = -v
+		}
+		out[i] = v
 	}
 	return out
 }

@@ -121,23 +121,18 @@ func ChooseScale(dim int, clip float64, bits uint, nClients int, centralSigma, k
 	return capacity / denom, nil
 }
 
-// clipL2 returns x scaled (if necessary) to have L2 norm at most c.
-func clipL2(x []float64, c float64) []float64 {
+// clipFactor returns the factor that scales x to L2 norm at most c: 1
+// when x is already within the bound (multiplying by 1 changes no value).
+func clipFactor(x []float64, c float64) float64 {
 	var norm2 float64
 	for _, v := range x {
 		norm2 += v * v
 	}
 	norm := math.Sqrt(norm2)
-	out := make([]float64, len(x))
 	if norm <= c || norm == 0 {
-		copy(out, x)
-		return out
+		return 1
 	}
-	f := c / norm
-	for i, v := range x {
-		out[i] = v * f
-	}
-	return out
+	return c / norm
 }
 
 // maxRoundingAttempts bounds the conditional-rounding retry loop. The
@@ -145,30 +140,44 @@ func clipL2(x []float64, c float64) []float64 {
 // has probability ≤ β^attempts (≈ 1e-9 for β=e^-0.5).
 const maxRoundingAttempts = 40
 
-// stochasticRound rounds y coordinate-wise to integers, rounding up with
-// probability equal to the fractional part, retrying until the result's L2
-// norm is within bound. It returns an error only if the retry budget is
-// exhausted, which indicates misconfigured parameters.
-func stochasticRound(s *prg.Stream, y []float64, bound float64) ([]int64, error) {
-	out := make([]int64, len(y))
+// roundingBatch is the number of rounding uniforms read from the stream
+// per bulk read.
+const roundingBatch = 512
+
+// stochasticRound rounds y coordinate-wise to integers into v (mod 2^b),
+// rounding up with probability equal to the fractional part, retrying
+// until the result's L2 norm is within bound. Each attempt reads exactly
+// one stream word per coordinate, in bulk reads that consume the stream
+// exactly as one Float64 call per coordinate would. It returns an error
+// only if the retry budget is exhausted, which indicates misconfigured
+// parameters.
+func stochasticRound(s *prg.Stream, y []float64, bound float64, v ring.Vector) error {
+	m := v.Mask()
 	b2 := bound * bound
+	var words [roundingBatch]uint64
 	for attempt := 0; attempt < maxRoundingAttempts; attempt++ {
 		var norm2 float64
-		for i, v := range y {
-			fl := math.Floor(v)
-			frac := v - fl
-			z := int64(fl)
-			if s.Float64() < frac {
-				z++
+		for base := 0; base < len(y); base += roundingBatch {
+			ys := y[base:min(base+roundingBatch, len(y))]
+			ws := words[:len(ys)]
+			s.ReadUint64(ws)
+			out := v.Data[base : base+len(ys)]
+			for i, yv := range ys {
+				fl := math.Floor(yv)
+				frac := yv - fl
+				z := int64(fl)
+				if float64(ws[i]>>11)/(1<<53) < frac { // the stream's Float64
+					z++
+				}
+				out[i] = uint64(z) & m
+				norm2 += float64(z) * float64(z)
 			}
-			out[i] = z
-			norm2 += float64(z) * float64(z)
 		}
 		if norm2 <= b2 {
-			return out, nil
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("skellam: conditional rounding failed after %d attempts (bound %v)", maxRoundingAttempts, bound)
+	return fmt.Errorf("skellam: conditional rounding failed after %d attempts (bound %v)", maxRoundingAttempts, bound)
 }
 
 // Encode transforms a raw model update (model units, length Dim) into the
@@ -176,6 +185,11 @@ func stochasticRound(s *prg.Stream, y []float64, bound float64) ([]int64, error)
 // XNoise layer adds its decomposed components on top, so that Orig, XNoise,
 // and the rebasing baseline can share one codec. rnd drives the stochastic
 // rounding and is private to the client.
+//
+// The pipeline runs fused over one float64 scratch vector: clip factor,
+// sign diagonal, Hadamard transform, 1/√p and the grid scale are applied
+// in that order per coordinate (rotateInto), and the rounding writes the
+// output ring vector directly, so an encode makes two allocations.
 func Encode(p Params, x []float64, rnd *prg.Stream) (ring.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return ring.Vector{}, err
@@ -183,17 +197,10 @@ func Encode(p Params, x []float64, rnd *prg.Stream) (ring.Vector, error) {
 	if len(x) != p.Dim {
 		return ring.Vector{}, fmt.Errorf("skellam: input dim %d, want %d", len(x), p.Dim)
 	}
-	clipped := clipL2(x, p.Clip)
-	rot := Rotate(p.RotationSeed, clipped)
-	for i := range rot {
-		rot[i] *= p.Scale
-	}
-	z, err := stochasticRound(rnd, rot, p.InflatedClip())
-	if err != nil {
-		return ring.Vector{}, err
-	}
-	v := ring.NewVector(p.Bits, len(z))
-	if err := v.AddSignedInPlace(z); err != nil {
+	y := make([]float64, p.PaddedDim())
+	rotateInto(y, p.RotationSeed, x, clipFactor(x, p.Clip), p.Scale)
+	v := ring.NewVector(p.Bits, len(y))
+	if err := stochasticRound(rnd, y, p.InflatedClip(), v); err != nil {
 		return ring.Vector{}, err
 	}
 	return v, nil

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"unsafe"
 
 	"repro/internal/endian"
 )
@@ -101,19 +100,19 @@ func readFrame(r io.Reader) (Frame, error) {
 
 // AppendUint64sLE appends xs to dst in little-endian wire order. On
 // little-endian hosts the word slab is copied in one memmove; the
-// big-endian fallback encodes per element.
+// big-endian fallback encodes per element. xs may be exactly the spare
+// capacity it is appended into (dst[len(dst):len(dst)+8·len(xs)]): each
+// word is read before its own bytes are written, so it is encoded in
+// place.
 func AppendUint64sLE(dst []byte, xs []uint64) []byte {
 	if len(xs) == 0 {
 		return dst
 	}
 	if endian.HostLittle {
-		src := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8)
-		return append(dst, src...)
+		return append(dst, endian.Bytes(xs)...)
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, len(xs)*8)...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(dst[off+i*8:], x)
+	for _, x := range xs {
+		dst = binary.LittleEndian.AppendUint64(dst, x)
 	}
 	return dst
 }
@@ -161,19 +160,22 @@ func DecodeBlob(src []byte, maxLen int) ([]byte, []byte, error) {
 // fresh slice, returning the remaining bytes. It is the inverse of
 // AppendUint64sLE.
 func DecodeUint64sLE(src []byte, n int) ([]uint64, []byte, error) {
+	return decodeWordsLE[uint64](src, n)
+}
+
+func decodeWordsLE[W ~uint64](src []byte, n int) ([]W, []byte, error) {
 	if n < 0 || len(src) < n*8 {
 		return nil, nil, fmt.Errorf("transport: word slab truncated: need %d bytes, have %d", n*8, len(src))
 	}
 	if n == 0 {
 		return nil, src, nil
 	}
-	out := make([]uint64, n)
+	out := make([]W, n)
 	if endian.HostLittle {
-		dst := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*8)
-		copy(dst, src[:n*8])
+		copy(endian.Bytes(out), src[:n*8])
 	} else {
 		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(src[i*8:])
+			out[i] = W(binary.LittleEndian.Uint64(src[i*8:]))
 		}
 	}
 	return out, src[n*8:], nil
@@ -193,12 +195,19 @@ func AppendSlab[W ~uint64](dst []byte, xs []W) ([]byte, error) {
 		return nil, fmt.Errorf("transport: slab of %d words exceeds wire cap", len(xs))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
-	return AppendUint64sLE(dst, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))), nil
+	return AppendUint64sLE(dst, endian.Words[uint64](endian.Bytes(xs))), nil
 }
 
 // DecodeSlab decodes a word slab written by AppendSlab into a fresh slice,
 // returning the remaining bytes.
 func DecodeSlab(src []byte) ([]uint64, []byte, error) {
+	return DecodeSlabOf[uint64](src)
+}
+
+// DecodeSlabOf is DecodeSlab into a fresh slice of any uint64-based word
+// type, so a codec decodes straight into its element type with no
+// intermediate copy.
+func DecodeSlabOf[W ~uint64](src []byte) ([]W, []byte, error) {
 	if len(src) < 4 {
 		return nil, nil, fmt.Errorf("transport: slab header truncated")
 	}
@@ -206,5 +215,5 @@ func DecodeSlab(src []byte) ([]uint64, []byte, error) {
 	if n > MaxSlabWords {
 		return nil, nil, fmt.Errorf("transport: declared slab of %d words exceeds wire cap", n)
 	}
-	return DecodeUint64sLE(src[4:], n)
+	return decodeWordsLE[W](src[4:], n)
 }

@@ -119,20 +119,33 @@ func NewClientNoise(p Plan, rand io.Reader) (*ClientNoise, error) {
 // TotalNoise returns the sum of all T+1 components — what the client adds
 // to its encoded update before masking (Definition 2: Δ̃_i = Δ_i + Σ_k n_{i,k}).
 func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, error) {
-	if len(cn.Seeds) != p.NumComponents() {
-		return nil, fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
-	}
 	total := make([]int64, dim)
-	comp := make([]int64, dim)
+	if err := cn.TotalNoiseInto(p, sampler, total, make([]int64, dim)); err != nil {
+		return nil, err
+	}
+	return total, nil
+}
+
+// TotalNoiseInto is TotalNoise accumulating into caller-owned buffers:
+// total receives the sum and comp (the same length) is the per-component
+// scratch, so a driver adding noise for many clients reuses one pair.
+func (cn *ClientNoise) TotalNoiseInto(p Plan, sampler Sampler, total, comp []int64) error {
+	if len(cn.Seeds) != p.NumComponents() {
+		return fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
+	}
+	if len(comp) != len(total) {
+		return fmt.Errorf("xnoise: scratch length %d, want %d", len(comp), len(total))
+	}
+	clear(total)
 	for k := range cn.Seeds {
 		if err := ComponentNoiseInto(p, sampler, cn.Seeds[k], k, comp); err != nil {
-			return nil, err
+			return err
 		}
 		for i := range total {
 			total[i] += comp[i]
 		}
 	}
-	return total, nil
+	return nil
 }
 
 // ShareSeeds produces, for each removable component k ∈ [1, T], a t-out-of-n
