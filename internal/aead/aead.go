@@ -88,9 +88,6 @@ func SealInPlace(g cipher.AEAD, rand io.Reader, buf, ad []byte) ([]byte, error) 
 // Open decrypts a ciphertext produced by Seal, verifying the associated
 // data. It returns ErrDecrypt on any failure.
 func Open(key [KeySize]byte, ciphertext, ad []byte) ([]byte, error) {
-	if len(ciphertext) < Overhead {
-		return nil, ErrDecrypt
-	}
 	g, err := NewCipher(key)
 	if err != nil {
 		return nil, err
